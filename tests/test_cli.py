@@ -217,6 +217,19 @@ class TestTrainFused:
         out = capsys.readouterr().out
         assert "factorized:" in out and "val BLEU" in out
 
+    def test_transformer_pufferfish_golden(self, capsys):
+        # Pinned literals for a seeded warm-up -> factorize -> fine-tune
+        # run: the printed validation lines must not move.
+        rc = main([
+            "train", "--task", "transformer", "--method", "pufferfish",
+            "--epochs", "4", "--warmup-epochs", "2", "--samples", "128",
+            "--batch-size", "16", "--seed", "5",
+        ])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "val perplexity: 15.22" in lines
+        assert "val BLEU: 0.02" in lines
+
     def test_cifar_with_adam(self, capsys):
         rc = main([
             "train", "--model", "mlp", "--method", "vanilla",

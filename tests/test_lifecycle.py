@@ -10,6 +10,7 @@ together with the documented exit codes.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -187,6 +188,21 @@ def test_pipeline_events_and_accounting(tiny_run):
         if isinstance(layer, (LowRankConv2d, LowRankLinear))
     }
     assert deployed == tiny_run.rank_map
+
+
+@pytest.mark.parametrize(
+    "workers, digest", [(1, "73ee1218116092a1"), (2, "d95082780d46e029")]
+)
+def test_pipeline_timeline_digest_golden(workers, digest):
+    # Pinned literals: any change to the phase engine's numerics or event
+    # stream (single-node or simulated DDP) fails here, not only in the
+    # benchmark gate.  The TINY run covers warm-up, conversion and one
+    # online re-factorization.
+    run = run_lifecycle(replace(TINY, workers=workers))
+    assert [e["event"] for e in run.events] == [
+        "snapshot", "factorize", "snapshot", "refactorize", "final_eval"
+    ]
+    assert run.timeline_digest() == digest
 
 
 def test_pipeline_ddp_records_comm_accounting():
