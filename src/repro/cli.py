@@ -65,20 +65,6 @@ COMPRESSORS = (
 )
 
 
-def _make_model(name: str, num_classes: int, width: float):
-    # The model table lives with the serving registry so the CLI and the
-    # serving subsystem materialize identical architectures.
-    from .serve.registry import build_model
-
-    return build_model(name, num_classes, width)
-
-
-def _hybrid_config(name: str, model, rank_ratio: float):
-    from .serve.registry import hybrid_config_for
-
-    return hybrid_config_for(name, model, rank_ratio)
-
-
 # CLI defaults per compressor; construction goes through the registry so
 # the CLI, benchmarks and property suite share one source of truth.
 _COMPRESSOR_DEFAULTS = {
@@ -139,19 +125,47 @@ _OVERLAP_REJECTION = (
 # ---------------------------------------------------------------------------
 
 
-def _train_transformer(args, opt_factory) -> int:
+def _cifar_task(args) -> dict:
+    """Synthetic CIFAR-style image classification over the model zoo."""
+    from .data import DataLoader, make_cifar_like
+    from .optim import MultiStepLR
+    from .serve.registry import build_model, hybrid_config_for
+    from .utils import Logger
+
+    rng = np.random.default_rng(args.seed)
+    ds = make_cifar_like(n=args.samples, num_classes=args.classes, noise=args.noise, rng=rng)
+    tr, va = ds.split(int(0.8 * args.samples))
+    train_loader = DataLoader(tr.images, tr.labels, args.batch_size, shuffle=True)
+    val_loader = DataLoader(va.images, va.labels, 2 * args.batch_size)
+    model = build_model(args.model, args.classes, args.width)
+
+    def report(final_model, history) -> float:
+        best = max(s.val_metric for s in history)
+        print(f"best val accuracy: {best:.4f}")
+        return best
+
+    return dict(
+        model=model,
+        config=hybrid_config_for(args.model, model, args.rank_ratio),
+        train=train_loader,
+        val=val_loader,
+        batch_fn=None,
+        scheduler_factory=lambda opt: MultiStepLR(opt, [int(0.75 * args.epochs)], gamma=0.1),
+        logger=Logger(args.model),
+        report=report,
+    )
+
+
+def _transformer_task(args) -> dict:
     """The paper's WMT16 transformer experiment at laptop scale: synthetic
     reverse-and-relabel translation, Adam/LAMB-driven, greedy-decode BLEU."""
     from . import nn
-    from .core import build_hybrid
     from .data import make_translation_dataset
     from .metrics import corpus_bleu, perplexity
     from .models import Seq2SeqTransformer, transformer_hybrid_config
     from .tensor import no_grad
-    from .utils import set_seed
 
     vocab = 20
-    set_seed(args.seed)
     full = make_translation_dataset(
         n=args.samples, vocab_size=vocab, min_len=4, max_len=8,
         rng=np.random.default_rng(args.seed),
@@ -161,105 +175,95 @@ def _train_transformer(args, opt_factory) -> int:
     model = Seq2SeqTransformer(vocab_size=vocab, d_model=32, n_heads=4,
                                num_layers=2, d_ff=64, dropout=0.0, max_len=16)
 
-    def run_epochs(m, opt, epochs):
-        for _ in range(epochs):
-            m.train()
-            for i in range(0, len(train_ds), args.batch_size):
-                src = train_ds.src[i : i + args.batch_size]
-                tgt = train_ds.tgt[i : i + args.batch_size]
-                opt.zero_grad()
-                logits = m(src, tgt[:, :-1])
-                loss_fn(logits.reshape(-1, vocab), tgt[:, 1:].reshape(-1)).backward()
-                opt.step()
+    def batch_fn(m, batch):
+        # Teacher forcing; the metric is next-token accuracy on non-pad tokens.
+        src, tgt = batch
+        gold = tgt[:, 1:].reshape(-1)
+        logits = m(src, tgt[:, :-1]).reshape(-1, vocab)
+        mask = gold != 0
+        correct = float(((logits.data.argmax(axis=1) == gold) & mask).sum())
+        return loss_fn(logits, gold), correct, int(mask.sum())
 
-    if args.method == "pufferfish":
-        run_epochs(model, opt_factory(model.parameters()), args.warmup_epochs)
-        model, report = build_hybrid(model, transformer_hybrid_config(rank_ratio=args.rank_ratio))
-        print(f"factorized: {report.params_before:,} -> {report.params_after:,} "
-              f"params ({report.compression:.2f}x), SVD {report.svd_seconds*1e3:.0f} ms")
-        run_epochs(model, opt_factory(model.parameters()),
-                   max(args.epochs - args.warmup_epochs, 0))
-    else:
-        run_epochs(model, opt_factory(model.parameters()), args.epochs)
+    bs = args.batch_size
+    train_batches = [
+        (train_ds.src[i : i + bs], train_ds.tgt[i : i + bs])
+        for i in range(0, len(train_ds), bs)
+    ]
 
-    model.eval()
-    with no_grad():
-        logits = model(val_ds.src, val_ds.tgt[:, :-1])
-        nll = nn.CrossEntropyLoss(ignore_index=0)(
-            logits.reshape(-1, vocab), val_ds.tgt[:, 1:].reshape(-1)
-        )
-    hyp = model.greedy_decode(val_ds.src, bos=1, eos=2, max_len=val_ds.tgt.shape[1])
-    bleu = corpus_bleu([list(h) for h in hyp], [list(t) for t in val_ds.tgt],
-                       strip_ids={0, 1, 2})
-    print(f"val perplexity: {perplexity(float(nll.data)):.2f}")
-    print(f"val BLEU: {bleu:.2f}")
-    if args.checkpoint:
-        from .utils import save_checkpoint
+    def report(final_model, history) -> float:
+        final_model.eval()
+        with no_grad():
+            logits = final_model(val_ds.src, val_ds.tgt[:, :-1])
+            nll = nn.CrossEntropyLoss(ignore_index=0)(
+                logits.reshape(-1, vocab), val_ds.tgt[:, 1:].reshape(-1)
+            )
+        hyp = final_model.greedy_decode(val_ds.src, bos=1, eos=2,
+                                        max_len=val_ds.tgt.shape[1])
+        bleu = corpus_bleu([list(h) for h in hyp], [list(t) for t in val_ds.tgt],
+                           strip_ids={0, 1, 2})
+        print(f"val perplexity: {perplexity(float(nll.data)):.2f}")
+        print(f"val BLEU: {bleu:.2f}")
+        return bleu
 
-        save_checkpoint(args.checkpoint, model, epoch=args.epochs, best=bleu)
-        print(f"checkpoint written to {args.checkpoint}")
-    return 0
+    return dict(
+        model=model,
+        config=transformer_hybrid_config(rank_ratio=args.rank_ratio),
+        train=train_batches,
+        val=[(val_ds.src, val_ds.tgt)],
+        batch_fn=batch_fn,
+        scheduler_factory=None,
+        logger=None,
+        report=report,
+    )
 
 
 def cmd_train(args) -> int:
     from .core import PufferfishTrainer, Trainer
-    from .data import DataLoader, make_cifar_like
-    from .optim import MultiStepLR
-    from .utils import Logger, set_seed
+    from .utils import set_seed
 
     if args.fused and args.amp:
         # The AMP cast round-trip rebinds every p.data each batch, which
         # would rebuild the arena (and reset optimizer state) every step.
         print("--fused is incompatible with --amp", file=sys.stderr)
         return 2
+    if args.task == "transformer" and args.amp:
+        print("--task transformer does not support --amp", file=sys.stderr)
+        return 2
     opt_name = args.optimizer or ("adam" if args.task == "transformer" else "sgd")
     lr = args.lr if args.lr is not None else _OPT_DEFAULT_LR[opt_name]
     opt_factory = _optimizer_factory(opt_name, lr, args.fused)
 
-    if args.task == "transformer":
-        if args.amp:
-            print("--task transformer does not support --amp", file=sys.stderr)
-            return 2
-        return _train_transformer(args, opt_factory)
-
     set_seed(args.seed)
-    rng = np.random.default_rng(args.seed)
-    ds = make_cifar_like(n=args.samples, num_classes=args.classes, noise=args.noise, rng=rng)
-    tr, va = ds.split(int(0.8 * args.samples))
-    train_loader = DataLoader(tr.images, tr.labels, args.batch_size, shuffle=True)
-    val_loader = DataLoader(va.images, va.labels, 2 * args.batch_size)
-
-    model = _make_model(args.model, args.classes, args.width)
-    logger = Logger(args.model)
-    sched_factory = lambda opt: MultiStepLR(opt, [int(0.75 * args.epochs)], gamma=0.1)
+    task = (_transformer_task if args.task == "transformer" else _cifar_task)(args)
+    model, sched_factory = task["model"], task["scheduler_factory"]
+    common = dict(batch_fn=task["batch_fn"], amp=args.amp, logger=task["logger"])
 
     if args.method == "pufferfish":
-        trainer = PufferfishTrainer(
-            model,
-            _hybrid_config(args.model, model, args.rank_ratio),
-            optimizer_factory=opt_factory,
-            scheduler_factory=sched_factory,
-            warmup_epochs=args.warmup_epochs,
-            total_epochs=args.epochs,
-            amp=args.amp,
-            logger=logger,
-        )
-        trainer.fit(train_loader, val_loader)
+        try:
+            trainer = PufferfishTrainer(
+                model,
+                task["config"],
+                optimizer_factory=opt_factory,
+                scheduler_factory=sched_factory,
+                warmup_epochs=args.warmup_epochs,
+                total_epochs=args.epochs,
+                **common,
+            )
+        except ValueError as e:
+            print(f"bad train configuration: {e}", file=sys.stderr)
+            return 2
+        final_model = trainer.fit(task["train"], task["val"])
         report = trainer.report
         print(f"\nfactorized: {report.params_before:,} -> {report.params_after:,} "
               f"params ({report.compression:.2f}x), SVD {report.svd_seconds*1e3:.0f} ms")
-        history = trainer.history
-        final_model = trainer.hybrid_model
     else:
         opt = opt_factory(model.parameters())
-        trainer = Trainer(model, opt, scheduler=sched_factory(opt), amp=args.amp,
-                          logger=logger)
-        trainer.fit(train_loader, val_loader, epochs=args.epochs)
-        history = trainer.history
+        scheduler = sched_factory(opt) if sched_factory else None
+        trainer = Trainer(model, opt, scheduler=scheduler, **common)
+        trainer.fit(task["train"], task["val"], epochs=args.epochs)
         final_model = model
 
-    best = max(s.val_metric for s in history)
-    print(f"best val accuracy: {best:.4f}")
+    best = task["report"](final_model, trainer.history)
     if args.checkpoint:
         from .utils import save_checkpoint
 
@@ -271,12 +275,13 @@ def cmd_train(args) -> int:
 def cmd_factorize(args) -> int:
     from .core import build_hybrid
     from .metrics import measure_macs
+    from .serve.registry import build_model, hybrid_config_for
     from .tensor import Tensor
     from .utils import set_seed
 
     set_seed(args.seed)
-    model = _make_model(args.model, args.classes, args.width)
-    config = _hybrid_config(args.model, model, args.rank_ratio)
+    model = build_model(args.model, args.classes, args.width)
+    config = hybrid_config_for(args.model, model, args.rank_ratio)
     hybrid, report = build_hybrid(model, config)
 
     print(f"model: {args.model} (width {args.width})")
@@ -306,6 +311,7 @@ def cmd_simulate(args) -> int:
         parse_fault_spec,
     )
     from .optim import SGD, FusedSGD
+    from .serve.registry import build_model, hybrid_config_for
     from .utils import set_seed
 
     if args.overlap and not _overlap_compatible(args.compressor):
@@ -324,9 +330,9 @@ def cmd_simulate(args) -> int:
 
     set_seed(args.seed)
     rng = np.random.default_rng(args.seed)
-    model = _make_model(args.model, args.classes, args.width)
+    model = build_model(args.model, args.classes, args.width)
     if args.method == "pufferfish":
-        model, report = build_hybrid(model, _hybrid_config(args.model, model, args.rank_ratio))
+        model, report = build_hybrid(model, hybrid_config_for(args.model, model, args.rank_ratio))
         print(f"pufferfish model: {report.compression:.2f}x smaller")
 
     if args.gpus_per_node > 1:
@@ -393,7 +399,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from . import observability as obs
     from .serve import (
         ArrivalSpec,
         BatchPolicy,
@@ -423,52 +428,48 @@ def cmd_serve(args) -> int:
         print(f"bad serve configuration: {e}", file=sys.stderr)
         return 2
 
-    obs.enable_metrics()
-    try:
-        served = default_registry().materialize(
-            args.model,
-            args.variant,
-            num_classes=args.classes,
-            width=args.width,
-            rank_ratio=args.rank_ratio,
-            seed=args.seed,
-            checkpoint=args.checkpoint,
-        )
-        print(f"model: {args.model} ({args.variant}, width {args.width}) — "
-              f"{served.params:,} params, {served.macs/1e6:.1f} M MACs/example")
-        if served.factorization:
-            f = served.factorization
-            print(f"factorized: {f['params_before']:,} -> {f['params_after']:,} params "
-                  f"({f['compression']:.2f}x), {f['n_factorized']} low-rank layers")
-        if served.lineage:
-            li = served.lineage
-            print(f"lineage: {li.get('name')} v{li.get('version')} from run "
-                  f"{li.get('parent_run')} (rank map {li.get('rank_map_digest')})")
+    served = default_registry().materialize(
+        args.model,
+        args.variant,
+        num_classes=args.classes,
+        width=args.width,
+        rank_ratio=args.rank_ratio,
+        seed=args.seed,
+        checkpoint=args.checkpoint,
+    )
+    print(f"model: {args.model} ({args.variant}, width {args.width}) — "
+          f"{served.params:,} params, {served.macs/1e6:.1f} M MACs/example")
+    if served.factorization:
+        f = served.factorization
+        print(f"factorized: {f['params_before']:,} -> {f['params_after']:,} params "
+              f"({f['compression']:.2f}x), {f['n_factorized']} low-rank layers")
+    if served.lineage:
+        li = served.lineage
+        print(f"lineage: {li.get('name')} v{li.get('version')} from run "
+              f"{li.get('parent_run')} (rank map {li.get('rank_map_digest')})")
 
-        if args.latency_profile:
-            profile = LatencyProfile.load(args.latency_profile)
-            print(f"latency profile loaded from {args.latency_profile}")
-        else:
-            profile = measure_latency_profile(
-                served.model,
-                served.input_spec,
-                repeats=args.profile_repeats,
-                meta={"model": args.model, "variant": args.variant, "width": args.width},
-            )
-        if args.save_profile:
-            profile.save(args.save_profile)
-            print(f"latency profile written to {args.save_profile}")
-        grid = "  ".join(
-            f"{b}:{t * 1e3:.1f}ms" for b, t in zip(profile.batch_sizes, profile.latency_s)
+    if args.latency_profile:
+        profile = LatencyProfile.load(args.latency_profile)
+        print(f"latency profile loaded from {args.latency_profile}")
+    else:
+        profile = measure_latency_profile(
+            served.model,
+            served.input_spec,
+            repeats=args.profile_repeats,
+            meta={"model": args.model, "variant": args.variant, "width": args.width},
         )
-        print(f"per-batch forward latency: {grid}")
-        print(f"single-replica capacity: {profile.capacity_rps():.0f} rps "
-              f"at batch {profile.best_batch()}")
+    if args.save_profile:
+        profile.save(args.save_profile)
+        print(f"latency profile written to {args.save_profile}")
+    grid = "  ".join(
+        f"{b}:{t * 1e3:.1f}ms" for b, t in zip(profile.batch_sizes, profile.latency_s)
+    )
+    print(f"per-batch forward latency: {grid}")
+    print(f"single-replica capacity: {profile.capacity_rps():.0f} rps "
+          f"at batch {profile.best_batch()}")
 
-        arrivals = generate_arrivals(spec)
-        report = ServeSimulator(profile, config).run(arrivals, duration_s=args.duration)
-    finally:
-        obs.disable_metrics()
+    arrivals = generate_arrivals(spec)
+    report = ServeSimulator(profile, config).run(arrivals, duration_s=args.duration)
 
     s = report.summary()
     print(f"\noffered load: {args.rate:.0f} rps {args.arrival} x {args.duration:.0f}s "
@@ -500,90 +501,101 @@ def cmd_serve(args) -> int:
 # -- gateway ----------------------------------------------------------------
 
 
-def _gateway_executor(args):
+def _gateway_executor(kind: str, latency_profile, name: str, variant: str, **materialize):
     """Build the inference executor + the profile admission reasons about."""
     from .serve import LatencyProfile, default_registry, measure_latency_profile
 
     profile = None
-    if args.latency_profile:
-        profile = LatencyProfile.load(args.latency_profile)
-    if args.executor == "profile":
+    if latency_profile:
+        profile = LatencyProfile.load(latency_profile)
+    if kind == "profile":
         if profile is None:
             raise ValueError("--executor profile requires --latency-profile")
         from .gateway import ProfileExecutor
 
         return ProfileExecutor(profile)
-    served = default_registry().materialize(
-        args.model,
-        args.variant,
-        num_classes=args.classes,
-        width=args.width,
-        rank_ratio=args.rank_ratio,
-        seed=args.seed,
-        checkpoint=args.checkpoint,
-    )
+    served = default_registry().materialize(name, variant, **materialize)
     if profile is None:
         profile = measure_latency_profile(
             served.model,
             served.input_spec,
-            meta={"model": args.model, "variant": args.variant},
+            meta={"model": name, "variant": variant},
         )
     from .gateway import ModelExecutor
 
     return ModelExecutor(served, profile)
 
 
-def cmd_gateway_serve(args) -> int:
-    import asyncio
-    import signal
-
-    from . import observability as obs
+def _gateway_config(args):
     from .serve import BatchPolicy, ServeConfig
 
+    return ServeConfig(
+        slo_s=args.slo_ms / 1e3,
+        policy=BatchPolicy(args.max_batch, args.max_wait_ms / 1e3),
+        replicas=args.replicas,
+    )
+
+
+def cmd_gateway_serve(args) -> int:
     try:
-        config = ServeConfig(
-            slo_s=args.slo_ms / 1e3,
-            policy=BatchPolicy(args.max_batch, args.max_wait_ms / 1e3),
-            replicas=args.replicas,
+        config = _gateway_config(args)
+        executor = _gateway_executor(
+            args.executor,
+            args.latency_profile,
+            args.model,
+            args.variant,
+            num_classes=args.classes,
+            width=args.width,
+            rank_ratio=args.rank_ratio,
+            seed=args.seed,
+            checkpoint=args.checkpoint,
         )
-        executor = _gateway_executor(args)
     except (ValueError, FileNotFoundError) as e:
         print(f"bad gateway configuration: {e}", file=sys.stderr)
         return 2
+    return _boot_gateway(executor, config, args, report_path=args.report)
+
+
+def _boot_gateway(executor, config, args, report_path=None) -> int:
+    """Serve ``executor`` over HTTP until SIGINT/SIGTERM (or
+    ``args.duration`` seconds), then print the served summary.
+
+    Shared by ``gateway serve`` and ``lifecycle deploy --gateway``; both
+    define the listener options ``host``/``port``/``duration``/
+    ``ready_file``."""
+    import asyncio
+    import signal
 
     from .gateway import GatewayServer
 
-    obs.enable_metrics()
-    try:
-        server = GatewayServer(executor, config, host=args.host, port=args.port)
+    server = GatewayServer(executor, config, host=args.host, port=args.port)
 
-        async def _main():
-            stop = asyncio.Event()
-            loop = asyncio.get_running_loop()
-            for sig in (signal.SIGINT, signal.SIGTERM):
-                try:
-                    loop.add_signal_handler(sig, stop.set)
-                except (NotImplementedError, RuntimeError, ValueError):
-                    pass  # non-unix loop, or running off the main thread
-            await server.start()
-            desc = executor.describe()
-            print(f"gateway listening on http://{server.host}:{server.port} "
-                  f"({desc['executor']} executor, {args.replicas} replica(s), "
-                  f"batch <= {args.max_batch}, SLO {args.slo_ms:.0f} ms)", flush=True)
-            if args.ready_file:
-                with open(args.ready_file, "w") as f:
-                    f.write(str(server.port))
-            if args.duration is not None:
-                loop.call_later(args.duration, stop.set)
+    async def _main():
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for sig in (signal.SIGINT, signal.SIGTERM):
             try:
-                await stop.wait()
-            finally:
-                await server.stop()
-            return server.report()
+                loop.add_signal_handler(sig, stop.set)
+            except (NotImplementedError, RuntimeError, ValueError):
+                pass  # non-unix loop, or running off the main thread
+        await server.start()
+        desc = executor.describe()
+        print(f"gateway listening on http://{server.host}:{server.port} "
+              f"({desc['executor']} executor, {config.replicas} replica(s), "
+              f"batch <= {config.policy.max_batch_size}, "
+              f"SLO {config.slo_s * 1e3:.0f} ms)", flush=True)
+        if args.ready_file:
+            with open(args.ready_file, "w") as f:
+                f.write(str(server.port))
+        if args.duration is not None:
+            loop.call_later(args.duration, stop.set)
+        try:
+            await stop.wait()
+        finally:
+            await server.stop()
+        return server.report()
 
-        report = asyncio.run(_main())
-    finally:
-        obs.disable_metrics()
+    report = asyncio.run(_main())
 
     s = report.summary()
     shed = report.shed_by_reason()
@@ -594,16 +606,16 @@ def cmd_gateway_serve(args) -> int:
           f"p50 {s['p50_ms']:.1f} ms | p95 {s['p95_ms']:.1f} ms")
     print(f"batches {s['n_batches']} (mean size {s['mean_batch_size']:.1f}) | "
           f"timeline digest: {s['timeline_digest']}")
-    if args.report:
+    if report_path:
         import json as _json
 
-        with open(args.report, "w") as f:
+        with open(report_path, "w") as f:
             _json.dump(
                 {"summary": s, "timeline": report.timeline(),
                  "batches": [b.as_dict() for b in report.batches]},
                 f, indent=2, sort_keys=True,
             )
-        print(f"report written to {args.report}")
+        print(f"report written to {report_path}")
     return 0
 
 
@@ -708,7 +720,6 @@ def _cluster_profile(args, served, path):
 
 
 def cmd_cluster_place(args) -> int:
-    from . import observability as obs
     from .cluster import ClusterConfigError, HostSpec, lower_bound_hosts, pack, replica_spec_for
 
     try:
@@ -723,32 +734,28 @@ def cmd_cluster_place(args) -> int:
         print(f"bad cluster configuration: {e}", file=sys.stderr)
         return 2
 
-    obs.enable_metrics()
-    try:
-        results = {}
-        for variant, path in (
-            ("full", args.profile_full),
-            ("factorized", args.profile_factorized),
-        ):
-            served = _cluster_served(args, variant)
-            profile = _cluster_profile(args, served, path)
-            replica = replica_spec_for(served, profile, overhead_bytes=int(args.overhead_mb * 1e6))
-            fleet = [replica] * args.replicas
-            try:
-                res = pack(fleet, host, policy=args.placement, max_hosts=args.max_hosts)
-            except ClusterConfigError as e:
-                print(f"bad cluster configuration: {e}", file=sys.stderr)
-                return 2
-            results[variant] = (replica, res)
-            print(f"{variant}: {served.params:,} params "
-                  f"({replica.mem_bytes / 1e6:.2f} MB/replica, "
-                  f"{replica.capacity_rps:.0f} rps/replica)")
-            print(f"  {args.replicas} replicas -> {res.n_hosts} hosts "
-                  f"({args.placement}, lower bound {lower_bound_hosts(fleet, host)}) | "
-                  f"fleet cost {res.fleet_cost:.1f} | "
-                  f"mem packed {res.mem_utilization:.1%} | rejected {len(res.rejected)}")
-    finally:
-        obs.disable_metrics()
+    results = {}
+    for variant, path in (
+        ("full", args.profile_full),
+        ("factorized", args.profile_factorized),
+    ):
+        served = _cluster_served(args, variant)
+        profile = _cluster_profile(args, served, path)
+        replica = replica_spec_for(served, profile, overhead_bytes=int(args.overhead_mb * 1e6))
+        fleet = [replica] * args.replicas
+        try:
+            res = pack(fleet, host, policy=args.placement, max_hosts=args.max_hosts)
+        except ClusterConfigError as e:
+            print(f"bad cluster configuration: {e}", file=sys.stderr)
+            return 2
+        results[variant] = (replica, res)
+        print(f"{variant}: {served.params:,} params "
+              f"({replica.mem_bytes / 1e6:.2f} MB/replica, "
+              f"{replica.capacity_rps:.0f} rps/replica)")
+        print(f"  {args.replicas} replicas -> {res.n_hosts} hosts "
+              f"({args.placement}, lower bound {lower_bound_hosts(fleet, host)}) | "
+              f"fleet cost {res.fleet_cost:.1f} | "
+              f"mem packed {res.mem_utilization:.1%} | rejected {len(res.rejected)}")
 
     full_hosts = results["full"][1].n_hosts
     fact_hosts = results["factorized"][1].n_hosts
@@ -768,7 +775,6 @@ def cmd_cluster_place(args) -> int:
 
 
 def cmd_cluster_autoscale(args) -> int:
-    from . import observability as obs
     from .cluster import (
         ClusterAutoscaler,
         ClusterConfigError,
@@ -803,30 +809,26 @@ def cmd_cluster_autoscale(args) -> int:
         print(f"bad cluster configuration: {e}", file=sys.stderr)
         return 2
 
-    obs.enable_metrics()
+    served = _cluster_served(args, args.variant)
+    profile = _cluster_profile(args, served, args.latency_profile)
     try:
-        served = _cluster_served(args, args.variant)
-        profile = _cluster_profile(args, served, args.latency_profile)
-        try:
-            pool = PoolConfig(
-                name=f"{args.model}:{args.variant}",
-                replica=replica_spec_for(served, profile),
-                profile=profile,
-                slo_s=args.slo_ms / 1e3,
-                policy=policy,
-                batch=BatchPolicy(args.max_batch, args.max_wait_ms / 1e3),
-                initial_replicas=args.initial_replicas,
-                min_replicas=args.min_replicas,
-                max_replicas=args.max_replicas,
-                cooldown_windows=args.cooldown,
-            )
-            scaler = ClusterAutoscaler(scenario, [pool], host_spec=host)
-        except ClusterConfigError as e:
-            print(f"bad cluster configuration: {e}", file=sys.stderr)
-            return 2
-        report = scaler.run()
-    finally:
-        obs.disable_metrics()
+        pool = PoolConfig(
+            name=f"{args.model}:{args.variant}",
+            replica=replica_spec_for(served, profile),
+            profile=profile,
+            slo_s=args.slo_ms / 1e3,
+            policy=policy,
+            batch=BatchPolicy(args.max_batch, args.max_wait_ms / 1e3),
+            initial_replicas=args.initial_replicas,
+            min_replicas=args.min_replicas,
+            max_replicas=args.max_replicas,
+            cooldown_windows=args.cooldown,
+        )
+        scaler = ClusterAutoscaler(scenario, [pool], host_spec=host)
+    except ClusterConfigError as e:
+        print(f"bad cluster configuration: {e}", file=sys.stderr)
+        return 2
+    report = scaler.run()
 
     s = report.summary()
     p = s["pools"][pool.name]
@@ -858,7 +860,6 @@ def cmd_cluster_autoscale(args) -> int:
 
 
 def cmd_cluster_canary(args) -> int:
-    from . import observability as obs
     from .cluster import CanaryConfig, ClusterConfigError, ClusterScenario, parse_phases, run_canary
     from .serve import BatchPolicy
 
@@ -886,19 +887,15 @@ def cmd_cluster_canary(args) -> int:
         print(f"bad cluster configuration: {e}", file=sys.stderr)
         return 2
 
-    obs.enable_metrics()
+    full = _cluster_served(args, "full")
+    fact = _cluster_served(args, "factorized")
+    full_profile = _cluster_profile(args, full, args.profile_full)
+    fact_profile = _cluster_profile(args, fact, args.profile_factorized)
     try:
-        full = _cluster_served(args, "full")
-        fact = _cluster_served(args, "factorized")
-        full_profile = _cluster_profile(args, full, args.profile_full)
-        fact_profile = _cluster_profile(args, fact, args.profile_factorized)
-        try:
-            report = run_canary(scenario, full_profile, fact_profile, config)
-        except ClusterConfigError as e:
-            print(f"bad cluster configuration: {e}", file=sys.stderr)
-            return 2
-    finally:
-        obs.disable_metrics()
+        report = run_canary(scenario, full_profile, fact_profile, config)
+    except ClusterConfigError as e:
+        print(f"bad cluster configuration: {e}", file=sys.stderr)
+        return 2
 
     print(f"canary rollout {args.model} full -> factorized "
           f"({args.phases}, seed {args.seed})")
@@ -919,7 +916,6 @@ def cmd_cluster_canary(args) -> int:
 def cmd_lifecycle_run(args) -> int:
     import json as _json
 
-    from . import observability as obs
     from .lifecycle import (
         LifecycleConfig,
         LifecycleConfigError,
@@ -956,11 +952,7 @@ def cmd_lifecycle_run(args) -> int:
         print(f"bad lifecycle configuration: {e}", file=sys.stderr)
         return 2
 
-    obs.enable_metrics()
-    try:
-        run = run_lifecycle(config)
-    finally:
-        obs.disable_metrics()
+    run = run_lifecycle(config)
 
     s = run.summary()
     print(f"lifecycle run {run.run_id}: {args.model} (width {args.width}, "
@@ -1047,7 +1039,6 @@ def cmd_lifecycle_promote(args) -> int:
 def cmd_lifecycle_deploy(args) -> int:
     import json as _json
 
-    from . import observability as obs
     from .cluster import CanaryConfig, ClusterConfigError, parse_phases
     from .lifecycle import (
         DeploymentConfig,
@@ -1085,19 +1076,16 @@ def cmd_lifecycle_deploy(args) -> int:
             if args.profile_factorized
             else None
         )
+        gateway_config = _gateway_config(args) if args.gateway else None
     except (PromotionError, ClusterConfigError, ValueError, OSError) as e:
         print(f"bad lifecycle configuration: {e}", file=sys.stderr)
         return 2
 
-    obs.enable_metrics()
     try:
-        try:
-            report = run_deployment(record, config, baseline, canary)
-        except ClusterConfigError as e:
-            print(f"bad lifecycle configuration: {e}", file=sys.stderr)
-            return 2
-    finally:
-        obs.disable_metrics()
+        report = run_deployment(record, config, baseline, canary)
+    except ClusterConfigError as e:
+        print(f"bad lifecycle configuration: {e}", file=sys.stderr)
+        return 2
 
     li = record.lineage
     print(f"deploying {record.name} v{record.version} "
@@ -1118,27 +1106,17 @@ def cmd_lifecycle_deploy(args) -> int:
 
     if report.promoted and args.gateway:
         print(f"\nbooting gateway on the promoted checkpoint {record.path}")
-        gw = argparse.Namespace(
-            model=li.get("model", record.name),
-            variant="factorized",
-            classes=int(li.get("num_classes", 4)),
+        executor = _gateway_executor(
+            "model",
+            None,
+            li.get("model", record.name),
+            "factorized",
+            num_classes=int(li.get("num_classes", 4)),
             width=float(li.get("width", 0.25)),
-            rank_ratio=0.25,
             seed=int(li.get("seed", 0)),
             checkpoint=record.path,
-            executor="model",
-            latency_profile=None,
-            host=args.host,
-            port=args.port,
-            slo_ms=args.slo_ms,
-            max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
-            replicas=args.replicas,
-            duration=args.duration,
-            ready_file=args.ready_file,
-            report=None,
         )
-        return cmd_gateway_serve(gw)
+        return _boot_gateway(executor, gateway_config, args)
     return 0 if report.promoted or args.allow_rollback else 1
 
 
@@ -1178,11 +1156,12 @@ def _profile_simulate(args):
     from .data import DataLoader, make_cifar_like, shard_dataset
     from .distributed import ClusterSpec, DistributedTrainer
     from .optim import SGD
+    from .serve.registry import build_model
     from .utils import set_seed
 
     set_seed(args.seed)
     rng = np.random.default_rng(args.seed)
-    model = _make_model("mlp", args.classes, 1.0)
+    model = build_model("mlp", args.classes, 1.0)
     n = args.nodes * args.batch_size * args.iterations
     ds = make_cifar_like(n=n, num_classes=args.classes, noise=0.2, rng=rng)
     shards = shard_dataset(ds.images, ds.labels, args.nodes)
@@ -1404,7 +1383,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="best-of-N forward timing repeats per batch size")
     p_serve.add_argument("--timeline", default=None, metavar="JSON",
                          help="write the full request/batch timeline")
-    p_serve.set_defaults(func=cmd_serve)
+    p_serve.set_defaults(func=cmd_serve, metrics=True)
 
     p_gateway = sub.add_parser(
         "gateway",
@@ -1448,7 +1427,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "scripted readiness checks)")
     p_gserve.add_argument("--report", default=None, metavar="JSON",
                           help="write the final serve report")
-    p_gserve.set_defaults(func=cmd_gateway_serve)
+    p_gserve.set_defaults(func=cmd_gateway_serve, metrics=True)
 
     p_gload = gateway_sub.add_parser(
         "loadtest", help="replay a seeded arrival trace against a running gateway"
@@ -1525,7 +1504,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="saved latency profile for the factorized variant")
     p_place.add_argument("--out", default=None, metavar="JSON",
                          help="write the full placement result")
-    p_place.set_defaults(func=cmd_cluster_place)
+    p_place.set_defaults(func=cmd_cluster_place, metrics=True)
 
     p_scale = cluster_sub.add_parser(
         "autoscale", help="step a seeded load scenario through the control loop"
@@ -1554,7 +1533,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="replay a saved latency profile instead of measuring")
     p_scale.add_argument("--timeline", default=None, metavar="JSON",
                          help="write the windowed timeline + scale events")
-    p_scale.set_defaults(func=cmd_cluster_autoscale)
+    p_scale.set_defaults(func=cmd_cluster_autoscale, metrics=True)
 
     p_canary = cluster_sub.add_parser(
         "canary", help="staged traffic shift full -> factorized, gated on shed delta"
@@ -1570,7 +1549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_canary.add_argument("--profile-factorized", default=None, metavar="JSON")
     p_canary.add_argument("--allow-rollback", action="store_true",
                           help="exit 0 even when the rollout rolls back")
-    p_canary.set_defaults(func=cmd_cluster_canary)
+    p_canary.set_defaults(func=cmd_cluster_canary, metrics=True)
 
     p_lifecycle = sub.add_parser(
         "lifecycle",
@@ -1616,7 +1595,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also promote the run into this registry")
     p_lrun.add_argument("--name", default=None,
                         help="registry name for --registry-dir (default: model)")
-    p_lrun.set_defaults(func=cmd_lifecycle_run)
+    p_lrun.set_defaults(func=cmd_lifecycle_run, metrics=True)
 
     p_lpromote = lifecycle_sub.add_parser(
         "promote",
@@ -1674,7 +1653,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ldeploy.add_argument("--duration", type=float, default=None,
                            help="gateway: stop after this many seconds")
     p_ldeploy.add_argument("--ready-file", default=None, metavar="PATH")
-    p_ldeploy.set_defaults(func=cmd_lifecycle_deploy)
+    p_ldeploy.set_defaults(func=cmd_lifecycle_deploy, metrics=True)
     return parser
 
 
@@ -1683,7 +1662,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "backend", None):
         tensor_backend.set_backend(args.backend)
-    return args.func(args)
+    if not getattr(args, "metrics", False):
+        return args.func(args)
+    # Serving, cluster and lifecycle subcommands run with the metrics
+    # registry on (the gateway's /metrics endpoint reads it live).
+    from . import observability as obs
+
+    obs.enable_metrics()
+    try:
+        return args.func(args)
+    finally:
+        obs.disable_metrics()
 
 
 if __name__ == "__main__":

@@ -206,28 +206,33 @@ class Trainer:
 
 
 class PufferfishTrainer:
-    """The full Pufferfish procedure (Algorithm 1).
+    """The full Pufferfish procedure (Algorithm 1) — the one phase engine.
 
     1. Train the vanilla full-rank model for ``warmup_epochs``.
     2. Factorize it into the hybrid architecture via truncated SVD
        (Σ^½-split factors; BN statistics and biases carried over).
     3. Train the hybrid model for the remaining epochs, continuing the
-       same LR schedule (optionally scaled at the switch).
+       same LR schedule.
 
     Parameters
     ----------
     model: the vanilla model to start from.
     config: what/how to factorize (rank ratio, hybrid index K, skips).
-    optimizer_factory: ``params -> Optimizer`` — called once for the vanilla
-        phase and once after conversion (fresh momentum state, as in the
-        paper's implementation).
+    optimizer_factory: ``params -> Optimizer`` — called for the vanilla
+        phase and again for every new model (fresh momentum state, as in
+        the paper's implementation), starting at the current LR.
+    batch_fn: ``(model, batch) -> (loss, metric_sum, count)`` as in
+        :class:`Trainer`; makes the engine task-agnostic.
     scheduler_factory: optional ``optimizer -> scheduler``.
-    lr_decay_at_switch: multiply the LR by this factor when switching to
-        the low-rank model (the paper halves the LSTM LR at the switch).
     config_builder: optional ``model -> FactorizationConfig`` evaluated on
         the *warm-up-trained* model just before conversion — the hook for
         spectrum-dependent policies such as
         :func:`repro.core.energy_rank_allocation` (overrides ``config``).
+
+    Subclasses extend the procedure through three override points that
+    :meth:`fit` calls: :meth:`run_epoch` (how one epoch is trained),
+    :meth:`end_epoch` (per-epoch inspection that may swap in a new model)
+    and :meth:`convert` (the warm-up → low-rank conversion).
     """
 
     def __init__(
@@ -242,7 +247,6 @@ class PufferfishTrainer:
         scheduler_factory: Callable | None = None,
         grad_clip: float | None = None,
         amp: bool = False,
-        lr_decay_at_switch: float = 1.0,
         logger: Logger | None = None,
         config_builder: Callable | None = None,
     ):
@@ -258,21 +262,38 @@ class PufferfishTrainer:
         self.loss_fn = loss_fn
         self.grad_clip = grad_clip
         self.amp = amp
-        self.lr_decay_at_switch = lr_decay_at_switch
         self.config_builder = config_builder
         self.logger = logger or Logger(enabled=False)
         self.report: FactorizationReport | None = None
         self.history: list[EpochStats] = []
+        self.trainer: Trainer | None = None
 
     def fit(self, train_loader, val_loader) -> Module:
         """Run the full procedure; returns the trained hybrid model."""
-        # Phase 1: vanilla warm-up.
-        optimizer = self.optimizer_factory(self.model.parameters())
-        scheduler = (
-            self.scheduler_factory(optimizer) if self.scheduler_factory else None
-        )
-        trainer = Trainer(
-            self.model,
+        self._adopt(self.model)
+        if self.warmup_epochs > 0:
+            with _trace.span("phase", name="warmup"):
+                self._epochs(train_loader, val_loader, 0, self.warmup_epochs, "warmup")
+        hybrid = self.convert(self.trainer.model)
+        # The schedule continues from the warm-up epoch count.
+        self._adopt(hybrid, lr=self.trainer.optimizer.lr)
+        if self.total_epochs > self.warmup_epochs:
+            with _trace.span("phase", name="lowrank"):
+                self._epochs(
+                    train_loader, val_loader, self.warmup_epochs, self.total_epochs,
+                    "lowrank",
+                )
+        self.hybrid_model = self.trainer.model
+        return self.hybrid_model
+
+    def _adopt(self, model: Module, lr: float | None = None) -> None:
+        """Fresh optimizer (and scheduler) over ``model``'s parameters."""
+        optimizer = self.optimizer_factory(model.parameters())
+        if lr is not None:
+            optimizer.lr = lr
+        scheduler = self.scheduler_factory(optimizer) if self.scheduler_factory else None
+        self.trainer = Trainer(
+            model,
             optimizer,
             batch_fn=self.batch_fn,
             loss_fn=self.loss_fn,
@@ -281,18 +302,33 @@ class PufferfishTrainer:
             amp=self.amp,
             logger=self.logger,
         )
-        if self.warmup_epochs > 0:
-            with _trace.span("phase", name="warmup"):
-                trainer.fit(train_loader, val_loader, self.warmup_epochs, phase="warmup")
-        self.history.extend(trainer.history)
 
-        # Phase 2: SVD conversion to the hybrid architecture.  A
-        # config_builder sees the warm-up-trained weights (e.g. for
-        # spectrum-driven rank allocation).
+    def _epochs(self, train_loader, val_loader, start: int, stop: int, phase: str):
+        for epoch in range(start, stop):
+            self.run_epoch(train_loader, val_loader, epoch, phase)
+            replacement = self.end_epoch(epoch, phase)
+            if replacement is not None:
+                self._adopt(replacement, lr=self.trainer.optimizer.lr)
+
+    def run_epoch(self, train_loader, val_loader, epoch: int, phase: str) -> None:
+        """Train and validate ``self.trainer.model`` for one epoch."""
+        self.trainer.fit(train_loader, val_loader, 1, start_epoch=epoch, phase=phase)
+        self.history.append(self.trainer.history[-1])
+
+    def end_epoch(self, epoch: int, phase: str) -> Module | None:
+        """Called after every epoch; return a model to continue training
+        with (fresh optimizer state, same LR), or ``None`` to keep going."""
+        return None
+
+    def convert(self, model: Module) -> Module:
+        """Step 2: truncated-SVD conversion of the warm-up-trained model.
+
+        A ``config_builder`` sees the warm-up-trained weights (e.g. for
+        spectrum-driven rank allocation)."""
         if self.config_builder is not None:
-            self.config = self.config_builder(self.model)
+            self.config = self.config_builder(model)
         with _trace.span("phase", name="svd_conversion"):
-            hybrid, self.report = build_hybrid(self.model, self.config)
+            hybrid, self.report = build_hybrid(model, self.config)
         self.logger.log(
             "converted",
             replaced=len(self.report.replaced),
@@ -300,35 +336,4 @@ class PufferfishTrainer:
             compression=self.report.compression,
             svd_sec=self.report.svd_seconds,
         )
-
-        # Phase 3: consecutive low-rank training with the schedule continuing
-        # from the warm-up epoch count.
-        lr_now = optimizer.lr * self.lr_decay_at_switch
-        optimizer2 = self.optimizer_factory(hybrid.parameters())
-        optimizer2.lr = lr_now
-        scheduler2 = (
-            self.scheduler_factory(optimizer2) if self.scheduler_factory else None
-        )
-        trainer2 = Trainer(
-            hybrid,
-            optimizer2,
-            batch_fn=self.batch_fn,
-            loss_fn=self.loss_fn,
-            scheduler=scheduler2,
-            grad_clip=self.grad_clip,
-            amp=self.amp,
-            logger=self.logger,
-        )
-        remaining = self.total_epochs - self.warmup_epochs
-        if remaining > 0:
-            with _trace.span("phase", name="lowrank"):
-                trainer2.fit(
-                    train_loader,
-                    val_loader,
-                    remaining,
-                    start_epoch=self.warmup_epochs,
-                    phase="lowrank",
-                )
-        self.history.extend(trainer2.history)
-        self.hybrid_model = hybrid
         return hybrid

@@ -8,19 +8,20 @@ are measured wall-clock (they really run); only the wire time is modeled.
 This mirrors how the paper's own analysis separates "computation" from
 "communication" in Fig. 4's stacked bars.
 
-Two execution styles:
+:class:`DistributedTrainer` runs each iteration in one of two styles:
 
-* :class:`DistributedTrainer` — the paper's prototype implementation:
-  gradients flattened into one buffer, a single blocking allreduce per
-  iteration (Section 4.1's latency optimization), optional compressor.
-* :class:`DDPTimelineModel` — PyTorch-DDP-style bucketed overlap: gradient
-  buckets communicate while the backward pass still runs, so the exposed
-  communication is ``max(0, comm − backward)`` plus per-bucket latency.
+* monolithic — the paper's prototype implementation: gradients flattened
+  into one buffer, a single blocking collective per iteration after the
+  whole backward pass (Section 4.1's latency optimization), optional
+  compressor;
+* bucketed overlap (``overlap=True``) — PyTorch-DDP-style wait-free
+  backprop: size-capped gradient buckets communicate while the backward
+  pass still runs, scheduled from each parameter's *measured* gradient
+  arrival time (:mod:`repro.distributed.overlap`).
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -39,13 +40,12 @@ from .cost_model import (
     broadcast_cost,
     bucket_comm_times,
     pipelined_broadcast_cost,
-    ring_allreduce_time,
 )
 from .errors import AllWorkersLostError
 from .faults import as_injector
 from .overlap import GradientArrivalRecorder, build_buckets, schedule_overlap
 
-__all__ = ["TimelineBreakdown", "DistributedTrainer", "DDPTimelineModel"]
+__all__ = ["TimelineBreakdown", "DistributedTrainer"]
 
 FLOAT32_BYTES = 4
 
@@ -181,16 +181,10 @@ class DistributedTrainer:
     # ------------------------------------------------------------------
 
     def _comm_time(
-        self,
-        nbytes: float,
-        n_messages: int,
-        degradation: float = 1.0,
-        world: int | None = None,
+        self, nbytes: float, n_messages: int, degradation: float, world: int
     ) -> float:
         """Wire time for one worker's payload of ``nbytes``."""
-        cluster = self.cluster
-        if world is not None and world != cluster.world_size:
-            cluster = cluster.with_world(world)
+        cluster = self._world_cluster(world)
         if self.compressor.allreduce_compatible:
             if _metrics.COLLECT:
                 _metrics.REGISTRY.counter("allreduce_calls").inc(n_messages)
@@ -244,242 +238,213 @@ class DistributedTrainer:
             )
         return self._buckets
 
-    def _overlap_iteration(
-        self, batches, active, iteration: int, timeline: TimelineBreakdown
-    ) -> None:
-        """One iteration with bucketed allreduce overlapping backward.
+    def _world_cluster(self, world: int):
+        """The cluster spec for ``world`` active ranks."""
+        if world != self.cluster.world_size:
+            return self.cluster.with_world(world)
+        return self.cluster
 
-        Fault-RNG parity with the monolithic path is deliberate: the same
-        ``compute_multiplier`` / ``link_factor`` / ``collective_penalty``
-        draws happen with the same keys, so a fixed seed produces an
-        identical fault event timeline with and without overlap.  Drop
-        penalties stall the whole synchronous ring, so they land once per
-        iteration as a tail penalty rather than per bucket.
+    def _fault_tail(self, iteration: int, world: int) -> float:
+        """Drop/retry and drain stalls of one iteration's collective.
+
+        One draw per ring step per iteration with the same RNG keys in
+        every execution style, so a fixed seed yields one fault event
+        timeline with or without overlap and compression.  Exhausted
+        retries raise CollectiveTimeoutError out of the epoch.
+        """
+        injector = self.faults
+        if injector is None:
+            return 0.0
+        op = "allreduce" if self.compressor.allreduce_compatible else "allgather"
+        steps = (2 if op == "allreduce" else 1) * max(world - 1, 0)
+        return injector.collective_penalty(op, iteration, steps) + injector.drain_penalty()
+
+    def _compute(self, batches, active, iteration: int, timeline, flat: bool):
+        """Every active worker's forward/backward on its micro-batch.
+
+        Returns ``(grads, backward_end, ready, gather_s)``: per-worker
+        gradients (one flat fp32 vector each when ``flat``, else a list of
+        per-parameter copies), the slowest worker's modeled seconds, each
+        bucket's readiness on the slowest worker (``None`` without
+        overlap) and the wall seconds spent gathering the gradients.
         """
         params = self.optimizer.params
         injector = self.faults
-        buckets = self._ensure_buckets()
-        world = len(active)
-
-        # --- compute phase: measured backward + per-bucket readiness ---
-        worker_flat: list[np.ndarray] = []
+        buckets = self._ensure_buckets() if self.overlap else None
+        grads: list = []
         worker_compute: list[float] = []
         worker_ready: list[list[float]] = []
-        gather_elapsed = 0.0
+        gather_s = 0.0
         with _trace.span("ddp.compute", iteration=timeline.iterations):
             for w in active:
                 self.optimizer.zero_grad()
                 with GradientArrivalRecorder(params) as rec:
                     loss, _, _ = self.batch_fn(self.model, batches[w])
                     loss.backward()
+                # A straggler's iteration takes longer on the modeled
+                # clock (stretching uniformly); the numerics are unchanged.
                 mult = 1.0
                 if injector is not None:
                     mult = injector.compute_multiplier(iteration, w)
                 worker_compute.append(rec.total * mult)
-                arrivals = rec.arrival_times()
-                # A bucket is ready when its *last* gradient arrived; a
-                # straggler's clock stretches uniformly.
-                worker_ready.append(
-                    [
-                        max(arrivals[i] for i in b.param_indices) * mult
-                        for b in buckets
-                    ]
-                )
+                if buckets is not None:
+                    # A bucket is ready when its *last* gradient arrived.
+                    arrivals = rec.arrival_times()
+                    worker_ready.append(
+                        [max(arrivals[i] for i in b.param_indices) * mult for b in buckets]
+                    )
                 t0 = time.perf_counter()
-                worker_flat.append(gradient_vector(params))
-                gather_elapsed += time.perf_counter() - t0
+                if flat:
+                    grads.append(gradient_vector(params))
+                else:
+                    grads.append(
+                        [
+                            (p.grad if p.grad is not None else np.zeros_like(p.data)).copy()
+                            for p in params
+                        ]
+                    )
+                gather_s += time.perf_counter() - t0
+        # Workers run concurrently: the slowest sets the pace.
         backward_end = max(worker_compute)
         timeline.compute += backward_end
-        # Flattening into the wire buffer plays the encode role and runs
-        # in parallel across workers, as in the monolithic path.
-        timeline.encode += gather_elapsed / len(worker_flat)
+        ready = None
+        if buckets is not None:
+            ready = [max(wr[j] for wr in worker_ready) for j in range(len(buckets))]
+        return grads, backward_end, ready, gather_s
 
-        # --- modeled bucket schedule --------------------------------------
-        degradation = injector.link_factor(iteration) if injector is not None else 1.0
-        cluster = self.cluster
-        if world != cluster.world_size:
-            cluster = cluster.with_world(world)
-        comm_times = bucket_comm_times(
-            [b.nbytes for b in buckets], cluster, degradation
-        )
-        tail = 0.0
-        if injector is not None:
-            # Same RNG keys as the monolithic allreduce: one draw per ring
-            # step per iteration, regardless of bucketing.
-            tail = injector.collective_penalty(
-                "allreduce", iteration, 2 * max(world - 1, 0)
-            )
-            tail += injector.drain_penalty()
-        ready = [max(wr[j] for wr in worker_ready) for j in range(len(buckets))]
-        sched = schedule_overlap(ready, comm_times, backward_end, tail_penalty=tail)
-        # Only the exposed (non-hidden) communication reaches the clock.
-        timeline.comm += sched.exposed
-        nbytes = worker_flat[0].nbytes
+    def _apply(self, agg, timeline, flat: bool) -> None:
+        """Install the averaged gradients and take the optimizer step."""
+        params = self.optimizer.params
+        with _trace.span("ddp.step", iteration=timeline.iterations):
+            if flat:
+                offset = 0
+                for p in params:
+                    size = p.data.size
+                    p.grad = agg[offset : offset + size].reshape(p.data.shape)
+                    offset += size
+                step_flat = getattr(self.optimizer, "step_flat", None)
+                if step_flat is not None:
+                    step_flat(agg)
+                    return
+            else:
+                for p, g in zip(params, agg):
+                    p.grad = np.ascontiguousarray(g, dtype=np.float32)
+            self.optimizer.step()
+
+    def _monolithic_iteration(self, batches, active, iteration: int, timeline) -> None:
+        """One iteration with a single blocking collective after backward."""
+        grads, _, _, _ = self._compute(batches, active, iteration, timeline, flat=False)
+        world = len(grads)
+
+        t0 = time.perf_counter()
+        with _trace.span("ddp.encode", iteration=timeline.iterations):
+            encoded = [self.compressor.encode(w, g) for w, g in zip(active, grads)]
+        # Encoding also happens in parallel across workers.
+        timeline.encode += (time.perf_counter() - t0) / world
+
+        nbytes = encoded[0].nbytes
+        n_messages = 1 if self.flat_allreduce else len(self.optimizer.params)
+        degradation = 1.0 if self.faults is None else self.faults.link_factor(iteration)
+        comm = self._comm_time(nbytes, n_messages, degradation, world)
+        timeline.comm += comm + self._fault_tail(iteration, world)
         timeline.bytes_per_iteration = nbytes
         if _metrics.COLLECT:
+            # Wire bytes each worker injects per iteration (the modeled
+            # payload, as opposed to the in-process bytes counted by the
+            # collectives themselves).
             _metrics.REGISTRY.counter("ddp.wire_bytes").inc(int(nbytes) * world)
 
-        # --- exact numerics: per-bucket mean (bit-exact vs monolithic) ----
-        agg = np.empty_like(worker_flat[0])
         t0 = time.perf_counter()
-        for b, ev, comm in zip(buckets, sched.events, comm_times):
-            with _trace.span(
-                "ddp.bucket",
-                iteration=timeline.iterations,
-                bucket=b.index,
-                nbytes=b.nbytes,
-                ready_s=ev.ready,
-                start_s=ev.start,
-                end_s=ev.end,
-            ):
-                sl = slice(b.offset, b.offset + b.size)
-                agg[sl] = allreduce_mean([v[sl] for v in worker_flat])
+        with _trace.span("ddp.decode", iteration=timeline.iterations):
+            agg = self.compressor.decode_aggregate(encoded)
         timeline.decode += time.perf_counter() - t0
+        self._apply(agg, timeline, flat=False)
 
-        self.overlap_events.append(
-            {
-                "iteration": iteration,
-                "backward_end_s": backward_end,
-                "comm_total_s": sched.comm_total,
-                "comm_exposed_s": sched.exposed,
-                "tail_penalty_s": tail,
-                "buckets": [
-                    {**ev.as_dict(), "nbytes": b.nbytes, "comm_s": comm}
-                    for b, ev, comm in zip(buckets, sched.events, comm_times)
-                ],
-            }
-        )
+    def _overlap_iteration(self, batches, active, iteration: int, timeline) -> None:
+        """One iteration with bucketed communication overlapping backward.
 
-        # --- apply ---------------------------------------------------------
-        with _trace.span("ddp.step", iteration=timeline.iterations):
-            offset = 0
-            for p in params:
-                size = p.data.size
-                p.grad = agg[offset : offset + size].reshape(p.data.shape)
-                offset += size
-            step_flat = getattr(self.optimizer, "step_flat", None)
-            if step_flat is not None:
-                step_flat(agg)
-            else:
-                self.optimizer.step()
-
-    def _compressed_overlap_iteration(
-        self, batches, active, iteration: int, timeline: TimelineBreakdown
-    ) -> None:
-        """One iteration with per-bucket compression inside the overlap.
-
-        Each bucket is encoded as soon as its gradients arrive (the encode
-        seconds delay that bucket's wire readiness in the schedule), the
-        *compressed* bytes are charged to the α–β model, and each bucket
-        is decoded independently — sound because allreduce-compatible
-        compressors commute with bucket tiling (the property suite pins
-        this).  Fault-RNG parity with the monolithic and uncompressed
-        overlap paths is preserved: identical draws with identical keys,
-        so a fixed seed yields one fault timeline regardless of
-        compression.
+        The uncompressed codec ships the flat fp32 gradient vector and
+        averages it per bucket with ``allreduce_mean`` (bit-exact vs the
+        monolithic path).  Allreduce-compatible compressors encode each
+        bucket as soon as its gradients arrive — the encode seconds delay
+        that bucket's wire readiness in the schedule — charge the
+        *compressed* bytes, and decode each bucket independently, which is
+        sound because they commute with bucket tiling (the property suite
+        pins this).  Encode and decode are the only steps that differ.
 
         Clock accounting: the schedule's exposure past ``backward_end``
         splits into wire-busy seconds (charged to ``comm``) and
         encode-stall seconds where the channel sat idle waiting for a
         bucket to finish encoding (charged to ``encode``) — so
         ``compute + encode + comm`` still reads as the modeled iteration
-        critical path.
+        critical path.  Drop penalties stall the whole synchronous ring,
+        so they land once per iteration as a tail penalty.
         """
-        params = self.optimizer.params
-        injector = self.faults
         buckets = self._ensure_buckets()
         world = len(active)
+        flat = isinstance(self.compressor, NoCompression)
+        grads, backward_end, ready, gather_s = self._compute(
+            batches, active, iteration, timeline, flat=flat
+        )
 
-        # --- compute phase: measured backward + per-bucket readiness ---
-        worker_grads: list[list[np.ndarray]] = []
-        worker_compute: list[float] = []
-        worker_ready: list[list[float]] = []
-        with _trace.span("ddp.compute", iteration=timeline.iterations):
-            for w in active:
-                self.optimizer.zero_grad()
-                with GradientArrivalRecorder(params) as rec:
-                    loss, _, _ = self.batch_fn(self.model, batches[w])
-                    loss.backward()
-                mult = 1.0
-                if injector is not None:
-                    mult = injector.compute_multiplier(iteration, w)
-                worker_compute.append(rec.total * mult)
-                arrivals = rec.arrival_times()
-                worker_ready.append(
-                    [
-                        max(arrivals[i] for i in b.param_indices) * mult
-                        for b in buckets
-                    ]
-                )
-                worker_grads.append(
-                    [
-                        (p.grad if p.grad is not None else np.zeros_like(p.data)).copy()
-                        for p in params
-                    ]
-                )
-        backward_end = max(worker_compute)
-        timeline.compute += backward_end
-
-        # --- per-bucket encode (workers run in parallel: each bucket's
-        # wire readiness waits for its slowest worker's encoder) ---------
+        # --- encode ------------------------------------------------------
         encoded: list[list] = []
-        encode_times: list[float] = []
-        with _trace.span("ddp.encode", iteration=timeline.iterations):
-            for b in buckets:
-                per_worker = []
-                per_worker_s = []
-                for pos, w in enumerate(active):
-                    sub = [worker_grads[pos][i] for i in b.param_indices]
-                    t0 = time.perf_counter()
-                    per_worker.append(
-                        self.compressor.encode(
-                            w, sub, layer_offset=b.param_indices[0]
+        encode_times = None
+        if flat:
+            # Flattening into the wire buffer plays the encode role and
+            # runs in parallel across workers, as in the monolithic path.
+            timeline.encode += gather_s / world
+            bucket_nbytes = [b.nbytes for b in buckets]
+        else:
+            # Workers encode in parallel: each bucket's wire readiness
+            # waits for its slowest worker's encoder.
+            encode_times = []
+            with _trace.span("ddp.encode", iteration=timeline.iterations):
+                for b in buckets:
+                    per_worker, per_worker_s = [], []
+                    for pos, w in enumerate(active):
+                        sub = [grads[pos][i] for i in b.param_indices]
+                        t0 = time.perf_counter()
+                        per_worker.append(
+                            self.compressor.encode(w, sub, layer_offset=b.param_indices[0])
                         )
-                    )
-                    per_worker_s.append(time.perf_counter() - t0)
-                encoded.append(per_worker)
-                encode_times.append(max(per_worker_s))
+                        per_worker_s.append(time.perf_counter() - t0)
+                    encoded.append(per_worker)
+                    encode_times.append(max(per_worker_s))
+            bucket_nbytes = [max(r.nbytes for r in per_worker) for per_worker in encoded]
 
-        # --- modeled bucket schedule over the compressed bytes -----------
-        degradation = injector.link_factor(iteration) if injector is not None else 1.0
-        cluster = self.cluster
-        if world != cluster.world_size:
-            cluster = cluster.with_world(world)
-        bucket_nbytes = [max(r.nbytes for r in per_worker) for per_worker in encoded]
-        comm_times = bucket_comm_times(bucket_nbytes, cluster, degradation)
-        tail = 0.0
-        if injector is not None:
-            # Same RNG keys as the monolithic allreduce: one draw per ring
-            # step per iteration, regardless of bucketing or compression.
-            tail = injector.collective_penalty(
-                "allreduce", iteration, 2 * max(world - 1, 0)
-            )
-            tail += injector.drain_penalty()
-        ready = [max(wr[j] for wr in worker_ready) for j in range(len(buckets))]
+        # --- modeled bucket schedule --------------------------------------
+        degradation = 1.0 if self.faults is None else self.faults.link_factor(iteration)
+        comm_times = bucket_comm_times(
+            bucket_nbytes, self._world_cluster(world), degradation
+        )
+        tail = self._fault_tail(iteration, world)
         sched = schedule_overlap(
-            ready, comm_times, backward_end, tail_penalty=tail,
-            encode_times=encode_times,
+            ready, comm_times, backward_end, tail_penalty=tail, encode_times=encode_times
         )
-        # Split the exposure: seconds the channel was busy past
-        # backward_end are wire time; idle seconds (waiting for encode)
-        # are the compressor's per-step cost on the critical path.
-        wire_busy = sum(
-            max(0.0, ev.end - max(ev.start, backward_end)) for ev in sched.events
-        )
-        last_end = sched.events[-1].end if sched.events else 0.0
-        wire_busy += max(0.0, sched.finish - max(last_end, backward_end))
-        encode_stall = max(0.0, sched.exposed - wire_busy)
-        timeline.comm += wire_busy
+        # Only the exposed (non-hidden) communication reaches the clock.
+        wire, encode_stall = sched.exposed, 0.0
+        if encode_times is not None:
+            # Seconds the channel was busy past backward_end are wire
+            # time; idle seconds (waiting for encode) are the compressor's
+            # per-step cost on the critical path.
+            wire = sum(
+                max(0.0, ev.end - max(ev.start, backward_end)) for ev in sched.events
+            )
+            last_end = sched.events[-1].end if sched.events else 0.0
+            wire += max(0.0, sched.finish - max(last_end, backward_end))
+            encode_stall = max(0.0, sched.exposed - wire)
+        timeline.comm += wire
         timeline.encode += encode_stall
-        nbytes = float(sum(bucket_nbytes))
+        nbytes = sum(bucket_nbytes)
         timeline.bytes_per_iteration = nbytes
         if _metrics.COLLECT:
             _metrics.REGISTRY.counter("ddp.wire_bytes").inc(int(nbytes) * world)
 
         # --- exact numerics: per-bucket decode ----------------------------
-        agg_layers: list[np.ndarray | None] = [None] * len(params)
+        agg = np.empty_like(grads[0]) if flat else [None] * len(self.optimizer.params)
         t0 = time.perf_counter()
-        for b, per_worker, ev, comm in zip(buckets, encoded, sched.events, comm_times):
+        for b, ev in zip(buckets, sched.events):
             with _trace.span(
                 "ddp.bucket",
                 iteration=timeline.iterations,
@@ -489,9 +454,13 @@ class DistributedTrainer:
                 start_s=ev.start,
                 end_s=ev.end,
             ):
-                decoded = self.compressor.decode_aggregate(per_worker)
-                for local, param_idx in enumerate(b.param_indices):
-                    agg_layers[param_idx] = decoded[local]
+                if flat:
+                    sl = slice(b.offset, b.offset + b.size)
+                    agg[sl] = allreduce_mean([v[sl] for v in grads])
+                else:
+                    decoded = self.compressor.decode_aggregate(encoded[b.index])
+                    for local, param_idx in enumerate(b.param_indices):
+                        agg[param_idx] = decoded[local]
         timeline.decode += time.perf_counter() - t0
 
         self.overlap_events.append(
@@ -499,7 +468,7 @@ class DistributedTrainer:
                 "iteration": iteration,
                 "backward_end_s": backward_end,
                 "comm_total_s": sched.comm_total,
-                "comm_exposed_s": wire_busy,
+                "comm_exposed_s": wire,
                 "encode_stall_s": encode_stall,
                 "tail_penalty_s": tail,
                 "compressor": self.compressor.name,
@@ -508,20 +477,15 @@ class DistributedTrainer:
                         **ev.as_dict(),
                         "nbytes": nb,
                         "comm_s": comm,
-                        "encode_s": enc,
+                        "encode_s": encode_times[i] if encode_times else 0.0,
                     }
-                    for nb, ev, comm, enc in zip(
-                        bucket_nbytes, sched.events, comm_times, encode_times
+                    for i, (nb, ev, comm) in enumerate(
+                        zip(bucket_nbytes, sched.events, comm_times)
                     )
                 ],
             }
         )
-
-        # --- apply ---------------------------------------------------------
-        with _trace.span("ddp.step", iteration=timeline.iterations):
-            for p, g in zip(params, agg_layers):
-                p.grad = np.ascontiguousarray(g, dtype=np.float32)
-            self.optimizer.step()
+        self._apply(agg, timeline, flat=flat)
 
     def train_epoch(self, worker_loaders: list) -> TimelineBreakdown:
         """One synchronized epoch over per-worker shard loaders.
@@ -533,10 +497,10 @@ class DistributedTrainer:
             raise ValueError("need one loader per rank")
         timeline = TimelineBreakdown()
         self.model.train()
-        params = self.optimizer.params
         injector = self.faults
         counters_before = _metrics.REGISTRY.counters() if _metrics.COLLECT else None
         epoch_events_start = len(self.overlap_events)
+        iterate = self._overlap_iteration if self.overlap else self._monolithic_iteration
 
         for batches in zip(*[iter(dl) for dl in worker_loaders]):
             iteration = self._global_iteration
@@ -545,91 +509,7 @@ class DistributedTrainer:
                 active: list[int] | range = list(self._active)
             else:
                 active = range(len(batches))
-
-            if self.overlap:
-                if isinstance(self.compressor, NoCompression):
-                    self._overlap_iteration(batches, active, iteration, timeline)
-                else:
-                    self._compressed_overlap_iteration(
-                        batches, active, iteration, timeline
-                    )
-                self.compressor.advance_step()
-                timeline.iterations += 1
-                self._global_iteration += 1
-                continue
-
-            # --- compute phase: each worker's forward/backward ---------
-            worker_grads: list[list[np.ndarray]] = []
-            worker_compute: list[float] = []
-            with _trace.span("ddp.compute", iteration=timeline.iterations):
-                for w in active:
-                    self.optimizer.zero_grad()
-                    t0 = time.perf_counter()
-                    loss, _, _ = self.batch_fn(self.model, batches[w])
-                    loss.backward()
-                    elapsed = time.perf_counter() - t0
-                    if injector is not None:
-                        # A straggler's iteration takes longer on the
-                        # modeled clock; the numerics are unchanged.
-                        elapsed *= injector.compute_multiplier(iteration, w)
-                    worker_compute.append(elapsed)
-                    worker_grads.append(
-                        [
-                            (p.grad if p.grad is not None else np.zeros_like(p.data)).copy()
-                            for p in params
-                        ]
-                    )
-            # Workers run concurrently: the slowest sets the pace.
-            timeline.compute += max(worker_compute)
-
-            # --- encode phase ------------------------------------------
-            t0 = time.perf_counter()
-            with _trace.span("ddp.encode", iteration=timeline.iterations):
-                encoded = [
-                    self.compressor.encode(w, grads)
-                    for w, grads in zip(active, worker_grads)
-                ]
-            encode_elapsed = time.perf_counter() - t0
-            # Encoding also happens in parallel across workers.
-            timeline.encode += encode_elapsed / len(worker_grads)
-
-            # --- communication (modeled) -------------------------------
-            nbytes = encoded[0].nbytes
-            n_messages = 1 if self.flat_allreduce else len(params)
-            if injector is None:
-                timeline.comm += self._comm_time(nbytes, n_messages)
-                world = self.cluster.num_nodes
-            else:
-                world = len(worker_grads)
-                degradation = injector.link_factor(iteration)
-                comm = self._comm_time(nbytes, n_messages, degradation, world)
-                # Message drops stall the synchronous ring; exhausted
-                # retries raise CollectiveTimeoutError out of the epoch.
-                op = "allreduce" if self.compressor.allreduce_compatible else "allgather"
-                steps = (2 if op == "allreduce" else 1) * max(world - 1, 0)
-                comm += injector.collective_penalty(op, iteration, steps)
-                comm += injector.drain_penalty()
-                timeline.comm += comm
-            timeline.bytes_per_iteration = nbytes
-            if _metrics.COLLECT:
-                # Wire bytes each worker injects per iteration (the modeled
-                # payload, as opposed to the in-process bytes counted by the
-                # collectives themselves).
-                _metrics.REGISTRY.counter("ddp.wire_bytes").inc(
-                    int(nbytes) * world
-                )
-
-            # --- decode phase -------------------------------------------
-            t0 = time.perf_counter()
-            with _trace.span("ddp.decode", iteration=timeline.iterations):
-                agg = self.compressor.decode_aggregate(encoded)
-            timeline.decode += time.perf_counter() - t0
-
-            # --- apply ---------------------------------------------------
-            with _trace.span("ddp.step", iteration=timeline.iterations):
-                for p, g in zip(params, agg):
-                    p.grad = np.ascontiguousarray(g, dtype=np.float32)
-                self.optimizer.step()
+            iterate(batches, active, iteration, timeline)
             self.compressor.advance_step()
             timeline.iterations += 1
             self._global_iteration += 1
@@ -672,63 +552,3 @@ class DistributedTrainer:
 
         t = Trainer(self.model, self.optimizer, batch_fn=self.batch_fn, loss_fn=self.loss_fn)
         return t.evaluate(loader)
-
-
-class DDPTimelineModel:
-    """PyTorch-DDP-style timing: bucketed allreduce overlapped with backward.
-
-    DDP fires an asynchronous allreduce whenever a gradient bucket
-    (default 25 MB) fills during the backward pass, so communication hides
-    behind compute.  The exposed (non-overlapped) communication is
-    approximately ``max(0, T_comm − T_backward)`` plus one latency term per
-    bucket; per-epoch time is then
-
-        ``T_epoch = n_iter · (T_fwd_bwd + exposed_comm + T_step)``.
-    """
-
-    def __init__(
-        self, cluster: ClusterSpec, bucket_mb: float = 25.0, backward_fraction: float = 2 / 3
-    ):
-        self.cluster = cluster
-        self.bucket_bytes = bucket_mb * 1e6
-        # Fraction of fwd+bwd time that is backward (≈ 2/3 for conv nets).
-        self.backward_fraction = backward_fraction
-
-    def iteration_time(
-        self, model_bytes: float, compute_seconds: float, degradation: float = 1.0
-    ) -> dict:
-        """Timing for one iteration of a model with ``model_bytes`` of
-        gradients and measured per-iteration ``compute_seconds``.
-
-        ``degradation`` scales effective link bandwidth — the knob fault
-        scenarios use to model congested links."""
-        n_buckets = max(1, math.ceil(model_bytes / self.bucket_bytes))
-        comm = sum(
-            ring_allreduce_time(
-                min(self.bucket_bytes, model_bytes - i * self.bucket_bytes),
-                self.cluster,
-                degradation,
-            )
-            for i in range(n_buckets)
-        )
-        backward = compute_seconds * self.backward_fraction
-        exposed = max(0.0, comm - backward)
-        return {
-            "compute": compute_seconds,
-            "comm_raw": comm,
-            "comm_exposed": exposed,
-            "iteration": compute_seconds + exposed,
-            "n_buckets": n_buckets,
-        }
-
-    def epoch_time(
-        self,
-        model_bytes: float,
-        compute_seconds: float,
-        n_iterations: int,
-        degradation: float = 1.0,
-    ) -> float:
-        return (
-            self.iteration_time(model_bytes, compute_seconds, degradation)["iteration"]
-            * n_iterations
-        )

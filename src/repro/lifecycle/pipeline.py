@@ -1,10 +1,12 @@
 """The train → factorize → deploy pipeline, seeded and digest-verified.
 
 One :func:`run_lifecycle` call is the ROADMAP's "train it, shrink it,
-ship it, scale it" loop up to the shipping boundary:
+ship it, scale it" loop up to the shipping boundary.  It runs on the
+repo's one Algorithm 1 phase engine, :class:`repro.core.PufferfishTrainer`,
+through a subclass that overrides its per-epoch hooks:
 
 1. **Warm-up** — full-rank training (single-node :class:`repro.core.Trainer`
-   or the simulated-DDP :class:`repro.distributed.DistributedTrainer`),
+   or, for ``workers > 1``, :class:`repro.distributed.DistributedTrainer`),
    with a :class:`~.monitor.SpectrumMonitor` snapshotting per-layer spectra
    every epoch.  The :class:`~.scheduler.RankScheduler` re-targets its
    per-layer rank map from each snapshot's energy-rank curve; during
@@ -39,9 +41,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..core import Trainer, build_hybrid, eligible_paths
+from ..core import PufferfishTrainer, build_hybrid, eligible_paths
+from ..core.materialize import materialize_hybrid
 from ..data.loader import DataLoader, shard_dataset
 from ..data.synthetic import make_cifar_like
+from ..distributed import ClusterSpec, DistributedTrainer
+from ..distributed.cost_model import broadcast_cost
 from ..metrics import measure_macs
 from ..observability import metrics as _metrics
 from ..observability import trace as _trace
@@ -251,99 +256,145 @@ def _example_batch(name: str):
     return spec.example_batch(1, np.random.default_rng(0))
 
 
-class _SingleNode:
-    """Epoch driver over :class:`repro.core.Trainer` (rebuilt on swap)."""
+def _loaders(cfg: LifecycleConfig, train, val):
+    """A shuffled single-node loader, or — for ``workers > 1`` — one
+    ``drop_last`` shard loader per simulated DDP worker."""
 
-    def __init__(self, cfg: LifecycleConfig, train, val):
-        rng = np.random.default_rng(_derive_seed(cfg.seed, _KIND_LOADER, 0))
-        self.cfg = cfg
-        self.train_loader = DataLoader(
-            train.images, train.labels, cfg.batch_size, shuffle=True, rng=rng
+    def rng(worker: int):
+        return np.random.default_rng(_derive_seed(cfg.seed, _KIND_LOADER, worker))
+
+    if cfg.workers == 1:
+        train_loader = DataLoader(
+            train.images, train.labels, cfg.batch_size, shuffle=True, rng=rng(0)
         )
-        self.val_loader = DataLoader(val.images, val.labels, cfg.batch_size)
-        self.trainer: Trainer | None = None
-
-    def adopt(self, model) -> None:
-        opt = SGD(model.parameters(), lr=self.cfg.lr, momentum=self.cfg.momentum)
-        self.trainer = Trainer(model, opt)
-
-    def run_epoch(self, epoch: int, phase: str) -> dict:
-        self.trainer.fit(
-            self.train_loader, self.val_loader, 1, start_epoch=epoch, phase=phase
-        )
-        s = self.trainer.history[-1]
-        return {
-            "event": "epoch",
-            "epoch": epoch,
-            "phase": phase,
-            "train_loss": _r6(s.train_loss),
-            "val_loss": _r6(s.val_loss),
-            "val_metric": _r6(s.val_metric),
-            "params": int(s.num_parameters),
-        }
-
-    def evaluate(self) -> tuple[float, float]:
-        return self.trainer.evaluate(self.val_loader)
-
-    def resync_seconds(self, nbytes: float) -> float:
-        return 0.0  # one replica: nothing to broadcast
-
-
-class _SimulatedDDP:
-    """Epoch driver over the simulated DDP trainer with resync accounting."""
-
-    def __init__(self, cfg: LifecycleConfig, train, val):
-        from ..distributed import ClusterSpec
-
-        self.cfg = cfg
-        self.cluster = ClusterSpec(cfg.workers)
+    else:
         shards = shard_dataset(train.images, train.labels, cfg.workers)
-        self.worker_loaders = [
-            DataLoader(
-                x,
-                y,
-                cfg.batch_size,
-                shuffle=True,
-                drop_last=True,
-                rng=np.random.default_rng(_derive_seed(cfg.seed, _KIND_LOADER, w)),
-            )
+        train_loader = [
+            DataLoader(x, y, cfg.batch_size, shuffle=True, drop_last=True, rng=rng(w))
             for w, (x, y) in enumerate(shards)
         ]
-        self.val_loader = DataLoader(val.images, val.labels, cfg.batch_size)
-        self.ddp = None
+    return train_loader, DataLoader(val.images, val.labels, cfg.batch_size)
 
-    def adopt(self, model) -> None:
-        from ..distributed import DistributedTrainer
 
-        opt = SGD(model.parameters(), lr=self.cfg.lr, momentum=self.cfg.momentum)
-        self.ddp = DistributedTrainer(model, opt, self.cluster)
+class _LifecycleTrainer(PufferfishTrainer):
+    """Algorithm 1 with per-epoch spectrum snapshots and online
+    re-factorization, on one node or under simulated DDP."""
 
-    def run_epoch(self, epoch: int, phase: str) -> dict:
-        timeline = self.ddp.train_epoch(self.worker_loaders)
-        val_loss, val_metric = self.ddp.evaluate(self.val_loader)
-        return {
-            "event": "epoch",
-            "epoch": epoch,
-            "phase": phase,
-            # Loss over the epoch is not part of the DDP timeline; the val
-            # sweep after the epoch is the deterministic signal recorded.
-            "val_loss": _r6(val_loss),
-            "val_metric": _r6(val_metric),
-            "params": int(self.ddp.model.num_parameters()),
-            # Modeled α–β wire time (deterministic); measured compute
-            # seconds are wall-clock and stay out of the digest.
-            "comm_seconds": round(timeline.comm, 9),
-            "bytes_per_iteration": int(timeline.bytes_per_iteration),
-            "iterations": int(timeline.iterations),
-        }
+    def __init__(self, cfg: LifecycleConfig, model, base_hybrid_cfg):
+        super().__init__(
+            model,
+            base_hybrid_cfg,
+            optimizer_factory=lambda ps: SGD(ps, lr=cfg.lr, momentum=cfg.momentum),
+            warmup_epochs=cfg.warmup_epochs,
+            total_epochs=cfg.total_epochs,
+            config_builder=lambda _model: self._scheduled_config(),
+        )
+        self.cfg = cfg
+        self.base_hybrid_cfg = base_hybrid_cfg
+        self.cluster = ClusterSpec(cfg.workers)
+        self.monitor = SpectrumMonitor()
+        self.rank_scheduler = RankScheduler(
+            policy=cfg.policy, eligible=tuple(eligible_paths(model, base_hybrid_cfg))
+        )
+        self.events: list[dict] = []
+        self.records: list[dict] = []
+        self.warm_model = None
 
-    def evaluate(self) -> tuple[float, float]:
-        return self.ddp.evaluate(self.val_loader)
+    def _scheduled_config(self):
+        """The run's paper config with the scheduler's current rank map."""
+        base = self.base_hybrid_cfg
+        return replace(
+            base, rank_overrides={**base.rank_overrides, **self.rank_scheduler.current}
+        )
 
-    def resync_seconds(self, nbytes: float) -> float:
-        from ..distributed.cost_model import broadcast_cost
+    def run_epoch(self, train_loader, val_loader, epoch: int, phase: str) -> None:
+        record = {"event": "epoch", "epoch": epoch, "phase": phase}
+        if self.cfg.workers == 1:
+            super().run_epoch(train_loader, val_loader, epoch, phase)
+            s = self.history[-1]
+            record.update(
+                train_loss=_r6(s.train_loss),
+                val_loss=_r6(s.val_loss),
+                val_metric=_r6(s.val_metric),
+                params=int(s.num_parameters),
+            )
+        else:
+            model = self.trainer.model
+            ddp = DistributedTrainer(model, self.trainer.optimizer, self.cluster)
+            timeline = ddp.train_epoch(train_loader)
+            val_loss, val_metric = self.trainer.evaluate(val_loader)
+            record.update(
+                # Loss over the epoch is not part of the DDP timeline; the
+                # val sweep after the epoch is the deterministic signal.
+                val_loss=_r6(val_loss),
+                val_metric=_r6(val_metric),
+                params=int(model.num_parameters()),
+                # Modeled α–β wire time (deterministic); measured compute
+                # seconds are wall-clock and stay out of the digest.
+                comm_seconds=round(timeline.comm, 9),
+                bytes_per_iteration=int(timeline.bytes_per_iteration),
+                iterations=int(timeline.iterations),
+            )
+        self.records.append(record)
 
-        return broadcast_cost(nbytes, self.cluster)
+    def end_epoch(self, epoch: int, phase: str):
+        cfg = self.cfg
+        if phase == "lowrank":
+            recheck_idx = epoch - cfg.warmup_epochs + 1
+            if recheck_idx % cfg.recheck_every != 0 or epoch == cfg.total_epochs - 1:
+                return None
+        model = self.trainer.model
+        snap = self.monitor.observe(model, epoch, phase)
+        self.events.append({"event": "snapshot", **snap.as_dict()})
+        decision = self.rank_scheduler.decide(snap)
+        if phase == "warmup":
+            # The model is still full-rank: a drift only retargets the map.
+            if decision.refactorize and decision.reason != "initial":
+                self.events.append(
+                    {"event": "retarget", "epoch": epoch, "drifted": list(decision.drifted)}
+                )
+            return None
+        if not decision.refactorize:
+            return None
+        # Drift past the hysteresis band: materialize the effective weights
+        # and re-factorize at the new map.  Under DDP this is the
+        # AB-Training full resync — one broadcast of the fresh factors
+        # keeps every worker bit-consistent (free on a single node).
+        with _trace.span("lifecycle.refactorize", epoch=epoch):
+            model, report = build_hybrid(
+                materialize_hybrid(model), self._scheduled_config()
+            )
+        resync_bytes = int(report.params_after) * 4
+        self.events.append(
+            {
+                "event": "refactorize",
+                "epoch": epoch,
+                "drifted": list(decision.drifted),
+                "replaced": len(report.replaced),
+                "params_after": int(report.params_after),
+                "resync_bytes": resync_bytes * (cfg.workers - 1),
+                "resync_seconds": round(broadcast_cost(resync_bytes, self.cluster), 9),
+            }
+        )
+        return model
+
+    def convert(self, model):
+        # Keep the warm-up weights for the global-ratio comparison map.
+        self.warm_model = copy.deepcopy(model)
+        with _trace.span("lifecycle.factorize", epoch=self.cfg.warmup_epochs):
+            hybrid = super().convert(model)
+        report = self.report
+        self.events.append(
+            {
+                "event": "factorize",
+                "epoch": self.cfg.warmup_epochs,
+                "replaced": len(report.replaced),
+                "kept": len(report.kept),
+                "params_before": int(report.params_before),
+                "params_after": int(report.params_after),
+            }
+        )
+        return hybrid
 
 
 def run_lifecycle(config: LifecycleConfig) -> LifecycleRun:
@@ -358,101 +409,17 @@ def run_lifecycle(config: LifecycleConfig) -> LifecycleRun:
 
     model = build_model(cfg.model, cfg.num_classes, cfg.width)
     base_hybrid_cfg = hybrid_config_for(cfg.model, model, cfg.rank_ratio)
-    monitor = SpectrumMonitor()
-    scheduler = RankScheduler(
-        policy=cfg.policy, eligible=tuple(eligible_paths(model, base_hybrid_cfg))
-    )
-    driver = (
-        _SingleNode(cfg, train, val)
-        if cfg.workers == 1
-        else _SimulatedDDP(cfg, train, val)
-    )
+    trainer = _LifecycleTrainer(cfg, model, base_hybrid_cfg)
+    train_loader, val_loader = _loaders(cfg, train, val)
 
-    events: list[dict] = []
-    history: list[dict] = []
     example = _example_batch(cfg.model)
     params_full = int(model.num_parameters())
     macs_full = int(measure_macs(model, *example))
 
     with _trace.span("lifecycle.run", model=cfg.model, seed=cfg.seed):
-        # Phase 1: full-rank warm-up with per-epoch spectral retargeting.
-        driver.adopt(model)
-        with _trace.span("lifecycle.warmup", epochs=cfg.warmup_epochs):
-            for epoch in range(cfg.warmup_epochs):
-                record = driver.run_epoch(epoch, "warmup")
-                history.append(record)
-                snap = monitor.observe(model, epoch, "warmup")
-                events.append({"event": "snapshot", **snap.as_dict()})
-                decision = scheduler.decide(snap)
-                if decision.refactorize and decision.reason != "initial":
-                    events.append(
-                        {
-                            "event": "retarget",
-                            "epoch": epoch,
-                            "drifted": list(decision.drifted),
-                        }
-                    )
-
-        # Phase 2: one-time truncated-SVD conversion at the scheduler's map.
-        warm_model = copy.deepcopy(model)
-        factor_cfg = replace(
-            base_hybrid_cfg,
-            rank_overrides={**base_hybrid_cfg.rank_overrides, **scheduler.current},
-        )
-        with _trace.span("lifecycle.factorize", epoch=cfg.warmup_epochs):
-            model, report = build_hybrid(model, factor_cfg)
-        events.append(
-            {
-                "event": "factorize",
-                "epoch": cfg.warmup_epochs,
-                "replaced": len(report.replaced),
-                "kept": len(report.kept),
-                "params_before": int(report.params_before),
-                "params_after": int(report.params_after),
-            }
-        )
-        driver.adopt(model)
-
-        # Phase 3: low-rank fine-tuning with online re-factorization.
-        for epoch in range(cfg.warmup_epochs, cfg.total_epochs):
-            record = driver.run_epoch(epoch, "lowrank")
-            history.append(record)
-            recheck_idx = epoch - cfg.warmup_epochs + 1
-            if recheck_idx % cfg.recheck_every != 0 or epoch == cfg.total_epochs - 1:
-                continue
-            snap = monitor.observe(model, epoch, "lowrank")
-            events.append({"event": "snapshot", **snap.as_dict()})
-            decision = scheduler.decide(snap)
-            if not decision.refactorize:
-                continue
-            # Drift past the hysteresis band: materialize the effective
-            # weights and re-factorize at the new map.  Under DDP this is
-            # the AB-Training full resync — one broadcast of the fresh
-            # factors keeps every worker bit-consistent.
-            factor_cfg = replace(
-                base_hybrid_cfg,
-                rank_overrides={**base_hybrid_cfg.rank_overrides, **scheduler.current},
-            )
-            with _trace.span("lifecycle.refactorize", epoch=epoch):
-                from ..core.materialize import materialize_hybrid
-
-                model, report = build_hybrid(materialize_hybrid(model), factor_cfg)
-            resync_bytes = int(report.params_after) * 4
-            events.append(
-                {
-                    "event": "refactorize",
-                    "epoch": epoch,
-                    "drifted": list(decision.drifted),
-                    "replaced": len(report.replaced),
-                    "params_after": int(report.params_after),
-                    "resync_bytes": resync_bytes * max(cfg.workers - 1, 0),
-                    "resync_seconds": round(driver.resync_seconds(resync_bytes), 9),
-                }
-            )
-            driver.adopt(model)
-
-        val_loss, val_metric = driver.evaluate()
-        events.append(
+        model = trainer.fit(train_loader, val_loader)
+        val_loss, val_metric = trainer.trainer.evaluate(val_loader)
+        trainer.events.append(
             {
                 "event": "final_eval",
                 "epoch": cfg.total_epochs,
@@ -463,23 +430,24 @@ def run_lifecycle(config: LifecycleConfig) -> LifecycleRun:
 
     # The paper's global-ratio map on the same warm-up weights, for the
     # "per-layer allocation actually chose differently" comparison.
-    _, global_report = build_hybrid(warm_model, base_hybrid_cfg)
+    _, global_report = build_hybrid(trainer.warm_model, base_hybrid_cfg)
     global_rank_map = {path: int(rank) for path, rank in global_report.replaced}
 
+    scheduler = trainer.rank_scheduler
     run = LifecycleRun(
         config=cfg,
         model=model,
-        snapshots=list(monitor.snapshots),
+        snapshots=list(trainer.monitor.snapshots),
         decisions=list(scheduler.decisions),
-        events=events,
+        events=trainer.events,
         rank_map={k: int(v) for k, v in (scheduler.current or {}).items()},
         global_rank_map=global_rank_map,
         params_full=params_full,
         params_factorized=int(model.num_parameters()),
         macs_full=macs_full,
         macs_factorized=int(measure_macs(model, *example)),
-        spectra_digest=monitor.digest(),
-        history=history,
+        spectra_digest=trainer.monitor.digest(),
+        history=trainer.records,
     )
     if _metrics.COLLECT:
         _metrics.REGISTRY.counter("lifecycle.runs").inc()

@@ -70,6 +70,19 @@ class TestTrainCommand:
         with np.load(ckpt) as data:
             assert any(k.startswith("model/") for k in data.files)
 
+    @pytest.mark.parametrize("task", ["cifar", "transformer"])
+    def test_warmup_exceeding_epochs_exits_2(self, task, capsys):
+        rc = main([
+            "train", "--task", task, "--model", "mlp", "--method", "pufferfish",
+            "--epochs", "1", "--warmup-epochs", "2", "--samples", "64",
+            "--batch-size", "32",
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "bad train configuration" in captured.err
+        # Rejected before any training ran.
+        assert "val" not in captured.out
+
 
 class TestSimulateCommand:
     def test_vanilla_simulation(self, capsys):

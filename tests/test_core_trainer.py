@@ -151,21 +151,6 @@ class TestPufferfishTrainer:
         pt, _, _ = self._run(rng, warmup=2, total=5)
         assert [s.epoch for s in pt.history] == [0, 1, 2, 3, 4]
 
-    def test_lr_decay_at_switch(self, rng):
-        x, y = make_task(rng)
-        loader = DataLoader(x, y, 32)
-        model = make_model()
-        pt = PufferfishTrainer(
-            model,
-            FactorizationConfig(rank_ratio=0.25),
-            optimizer_factory=lambda ps: SGD(ps, lr=0.1),
-            warmup_epochs=1,
-            total_epochs=2,
-            lr_decay_at_switch=0.5,
-        )
-        pt.fit(loader, loader)
-        assert pt.history[-1].lr == pytest.approx(0.05)
-
 
 class TestConfigBuilder:
     def test_builder_sees_warmup_weights(self, rng):

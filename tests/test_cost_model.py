@@ -67,6 +67,23 @@ class TestMonotonicity:
         spec = ClusterSpec(p, bw, lat)
         assert cost(nbytes, spec, degradation=deg) >= cost(nbytes, spec)
 
+    @pytest.mark.parametrize("cost", COSTS)
+    @given(nbytes=NBYTES, p1=WORLD, p2=WORLD, bw=BW, lat=LAT)
+    @settings(max_examples=60, deadline=None)
+    def test_more_workers_never_cheaper(self, cost, nbytes, p1, p2, bw, lat):
+        lo, hi = sorted((p1, p2))
+        assert cost(nbytes, ClusterSpec(lo, bw, lat)) <= cost(
+            nbytes, ClusterSpec(hi, bw, lat)
+        )
+
+    def test_bucketed_comm_grows_with_world_at_fixed_bytes(self):
+        # Fig. 4(c)'s premise: the same gradient costs more wire time on a
+        # larger ring, so the factorized model's byte saving grows with it.
+        buckets = [25e6] * 8
+        t2 = sum(bucket_comm_times(buckets, ClusterSpec(2)))
+        t16 = sum(bucket_comm_times(buckets, ClusterSpec(16)))
+        assert t16 > t2
+
     @given(nbytes=NBYTES, nodes=st.integers(1, 8), gpus=st.integers(1, 8),
            inter=BW, intra=BW)
     @settings(max_examples=60, deadline=None)

@@ -9,7 +9,6 @@ from repro.compression import Signum
 from repro.data import DataLoader, shard_dataset
 from repro.distributed import (
     ClusterSpec,
-    DDPTimelineModel,
     DistributedTrainer,
     allgather_time,
     allreduce_mean,
@@ -211,32 +210,3 @@ class TestDistributedEquivalence:
         assert payload(hybrid) / payload(model) == pytest.approx(
             report.params_after / report.params_before, rel=1e-6
         )
-
-
-class TestDDPTimelineModel:
-    def test_full_overlap_hides_comm(self):
-        ddp = DDPTimelineModel(ClusterSpec(4))
-        out = ddp.iteration_time(model_bytes=1e6, compute_seconds=10.0)
-        assert out["comm_exposed"] == 0.0
-        assert out["iteration"] == 10.0
-
-    def test_comm_bound_regime_exposes_comm(self):
-        ddp = DDPTimelineModel(ClusterSpec(16, bandwidth_gbps=1.0))
-        out = ddp.iteration_time(model_bytes=500e6, compute_seconds=0.01)
-        assert out["comm_exposed"] > 0
-
-    def test_bucket_count(self):
-        ddp = DDPTimelineModel(ClusterSpec(4), bucket_mb=25)
-        assert ddp.iteration_time(100e6, 1.0)["n_buckets"] == 4
-
-    def test_epoch_time_scales_with_iterations(self):
-        ddp = DDPTimelineModel(ClusterSpec(4))
-        t1 = ddp.epoch_time(1e6, 0.5, 10)
-        t2 = ddp.epoch_time(1e6, 0.5, 20)
-        assert t2 == pytest.approx(2 * t1)
-
-    def test_larger_cluster_more_comm(self):
-        m = 200e6
-        t2 = DDPTimelineModel(ClusterSpec(2)).iteration_time(m, 0.01)["comm_raw"]
-        t16 = DDPTimelineModel(ClusterSpec(16)).iteration_time(m, 0.01)["comm_raw"]
-        assert t16 > t2
