@@ -5,7 +5,8 @@ re-checks the parity contract from :data:`repro.tensor.backend.PARITY`,
 and writes ``BENCH_kernels.json`` (speedup table + parity summary).
 ``check_kernels_regression.py`` gates the artifact against the committed
 baseline: structure exactly, parity booleans, and per-op speedup floors
-(the headline: ≥1.5× on the batched im2col-matmul conv forward).
+(the headlines: ≥1.5× on the batched im2col-matmul conv forward, and
+≥3× on the backward of the thin-output conv a Pufferfish ``conv_u`` runs).
 
 Wall-clock speedups are machine-dependent; the committed baseline's
 numbers document the reference machine and only the floors are enforced.
@@ -17,6 +18,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 from harness import print_table, scaled_vgg19
 from repro.optim import LAMB, Adam, FusedAdam, FusedLAMB
@@ -32,6 +34,12 @@ REPEATS = 5
 MIN_SPEEDUP = {
     "conv2d_forward": 1.5,
     "conv2d_backward": 1.0,
+    # Thin-output conv (c_out = c_in/4, the hybrid ResNet-18 layer2
+    # conv_u): the fast backend's thin branch.  Its forward is the same
+    # column GEMM as conv2d_forward; its input gradient is one GEMM over
+    # shifted output-gradient slabs, with no column gradient or col2im.
+    "conv2d_forward_thin": 1.5,
+    "conv2d_backward_thin": 3.0,
     "im2col": 1.0,
     "matmul": None,
     "relu": None,
@@ -78,8 +86,10 @@ def check_parity(op: str, ref, got) -> tuple[bool, float]:
 
 
 def record(op: str, shape: str, numpy_ms: float, fast_ms: float, parity_ok: bool,
-           max_abs_err: float) -> None:
-    _RESULTS[op] = {
+           max_abs_err: float, suffix: str = "") -> None:
+    """Store the row ``op + suffix``; it carries ``op``'s parity tag."""
+    row = op + suffix
+    _RESULTS[row] = {
         "tag": PARITY[op],
         "shape": shape,
         "numpy_ms": round(numpy_ms, 4),
@@ -87,7 +97,7 @@ def record(op: str, shape: str, numpy_ms: float, fast_ms: float, parity_ok: bool
         "speedup": round(numpy_ms / fast_ms, 3) if fast_ms > 0 else None,
         "parity_ok": parity_ok,
         "max_abs_err": max_abs_err,
-        "min_speedup": MIN_SPEEDUP[op],
+        "min_speedup": MIN_SPEEDUP[row],
     }
 
 
@@ -98,22 +108,33 @@ def conv_inputs(rng, n=32, c=16, hw=32, co=32, k=3):
     return x, w, b
 
 
-def test_conv2d_forward_speedup(rng):
-    """Headline: batched im2col matmul at CPU-scaled conv widths."""
-    x, w, b = conv_inputs(rng)
+# (row suffix, conv_inputs kwargs, shape label)
+CONV_CASES = [
+    ("", dict(n=32, c=16, hw=32, co=32), "N32 C16 32x32 k3 s1 p1 -> C32"),
+    # Hybrid ResNet-18 (width 0.25, rank ratio 0.25) layer2 conv_u at batch 128.
+    ("_thin", dict(n=128, c=32, hw=16, co=8), "N128 C32 16x16 k3 s1 p1 -> C8"),
+]
+
+
+@pytest.mark.parametrize("suffix,dims,label", CONV_CASES)
+def test_conv2d_forward_speedup(rng, suffix, dims, label):
+    """Headline: batched im2col matmul at CPU-scaled conv widths, and at a
+    thin-output factorized conv."""
+    x, w, b = conv_inputs(rng, **dims)
     ref_be, fast_be = backend.get("numpy"), backend.get("fast")
     ref_out, _ = ref_be.conv2d_forward(x, w, b, 1, 1, 1, False)
     got_out, _ = fast_be.conv2d_forward(x, w, b, 1, 1, 1, False)
     ok, err = check_parity("conv2d_forward", ref_out, got_out)
     n_ms = best_ms(lambda: ref_be.conv2d_forward(x, w, b, 1, 1, 1, False))
     f_ms = best_ms(lambda: fast_be.conv2d_forward(x, w, b, 1, 1, 1, False))
-    record("conv2d_forward", "N32 C16 32x32 k3 s1 p1 -> C32", n_ms, f_ms, ok, err)
+    record("conv2d_forward", label, n_ms, f_ms, ok, err, suffix)
     assert ok
 
 
-def test_conv2d_backward_speedup(rng):
-    x, w, b = conv_inputs(rng)
-    g = rng.standard_normal((32, 32, 32, 32)).astype(np.float32)
+@pytest.mark.parametrize("suffix,dims,label", CONV_CASES)
+def test_conv2d_backward_speedup(rng, suffix, dims, label):
+    x, w, b = conv_inputs(rng, **dims)
+    g = rng.standard_normal((dims["n"], dims["co"], dims["hw"], dims["hw"])).astype(np.float32)
     ref_be, fast_be = backend.get("numpy"), backend.get("fast")
     _, ref_ctx = ref_be.conv2d_forward(x, w, b, 1, 1, 1, True)
     _, fast_ctx = fast_be.conv2d_forward(x, w, b, 1, 1, 1, True)
@@ -122,8 +143,7 @@ def test_conv2d_backward_speedup(rng):
     oks, errs = zip(*(check_parity("conv2d_backward", r, o) for r, o in zip(ref_g, got_g)))
     n_ms = best_ms(lambda: ref_be.conv2d_backward(g, ref_ctx, True, True, True))
     f_ms = best_ms(lambda: fast_be.conv2d_backward(g, fast_ctx, True, True, True))
-    record("conv2d_backward", "N32 C16 32x32 k3 s1 p1 -> C32", n_ms, f_ms,
-           all(oks), max(errs))
+    record("conv2d_backward", label, n_ms, f_ms, all(oks), max(errs), suffix)
     assert all(oks)
 
 

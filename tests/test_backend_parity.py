@@ -7,9 +7,15 @@ published rtol/atol (GEMM orientation changes float summation order).
 The same tags drive the parity column of ``benchmarks/test_kernels.py``.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
+from repro.core import build_hybrid
+from repro.data.synthetic import make_cifar_like
+from repro.models.resnet import resnet18, resnet18_hybrid_config
+from repro.nn import CrossEntropyLoss
 from repro.tensor import Tensor, backend, bias_relu, col2im, conv2d, im2col
 from repro.tensor.backend import (
     PARITY,
@@ -17,16 +23,41 @@ from repro.tensor.backend import (
     TOLERANCE_RTOL,
     FastBackend,
 )
+from repro.utils import set_seed
 
 NON_REF = [n for n in backend.available() if n != "numpy"]
 
 CONV_SHAPES = [
-    # (n, c_in, h, w, c_out, k, stride, padding)
-    (2, 3, 8, 8, 4, 3, 1, 1),
-    (2, 3, 9, 9, 4, 3, 2, 1),
-    (1, 2, 7, 5, 3, 3, 2, (2, 1)),
-    (2, 4, 6, 6, 5, 1, 1, 0),  # 1×1 fast path
-    (1, 3, 5, 5, 2, 5, 1, 2),
+    # (n, c_in, h, w, c_out, k, stride, padding, bias)
+    (2, 3, 8, 8, 4, 3, 1, 1, True),
+    (2, 3, 9, 9, 4, 3, 2, 1, True),
+    (1, 2, 7, 5, 3, 3, 2, (2, 1), True),
+    (2, 4, 6, 6, 5, 1, 1, 0, True),  # 1×1 fast path
+    (1, 3, 5, 5, 2, 5, 1, 2, True),
+    # Thin-output stride-1 convs (c_out·Hp·Wp < c_in·oh·ow): the fast
+    # backend's thin branch, whose input gradient is shift-and-accumulate.
+    (2, 16, 8, 8, 4, 3, 1, 1, True),
+    (2, 16, 8, 8, 4, 3, 1, 1, False),
+    (2, 32, 9, 9, 4, 5, 1, 2, True),
+    (2, 16, 9, 7, 4, 3, 1, (2, 1), True),
+    (2, 16, 9, 7, 4, 3, 1, (2, 1), False),
+    (3, 16, 8, 8, 2, 3, 1, 0, True),
+    (2, 16, 6, 6, 4, 1, 1, 1, True),  # padded 1×1
+]
+
+# (n, c_in, h, w, c_out, k, stride, padding) -> branch the fast backend's
+# conv2d_forward records as ctx[0].
+CONV_BRANCHES = [
+    ((2, 16, 8, 8, 4, 3, 1, 1), "thin"),  # hybrid ResNet conv_u, c_out = c_in/4
+    ((2, 32, 9, 9, 4, 5, 1, 2), "thin"),
+    ((2, 16, 9, 7, 4, 3, 1, (2, 1)), "thin"),
+    ((3, 16, 8, 8, 2, 3, 1, 0), "thin"),
+    ((2, 16, 8, 8, 16, 3, 1, 1), "gen"),  # square: every vanilla ResNet conv
+    ((2, 3, 8, 8, 16, 3, 1, 1), "gen"),  # wider output (the stem)
+    ((2, 16, 8, 8, 4, 3, 2, 1), "gen"),  # strided conv_u
+    ((2, 16, 8, 8, 4, 1, 1, 0), "1x1"),  # conv_v / projection
+    ((2, 16, 6, 6, 4, 1, 1, 1), "thin"),  # padded 1×1 with a thin output
+    ((2, 16, 8, 8, 8, 1, 2, 0), "gen"),  # strided 1×1 downsample
 ]
 
 
@@ -123,10 +154,10 @@ class TestOpParity:
 
     @pytest.mark.parametrize("shape", CONV_SHAPES)
     def test_conv2d_forward_backward(self, name, rng, shape):
-        n, c_in, h, w, c_out, k, stride, padding = shape
+        n, c_in, h, w, c_out, k, stride, padding, has_bias = shape
         x_np = rng.standard_normal((n, c_in, h, w)).astype(np.float32)
         w_np = (rng.standard_normal((c_out, c_in, k, k)) * 0.1).astype(np.float32)
-        b_np = rng.standard_normal((c_out,)).astype(np.float32)
+        b_np = rng.standard_normal((c_out,)).astype(np.float32) if has_bias else None
         ph, pw = padding if isinstance(padding, tuple) else (padding, padding)
         oh = (h + 2 * ph - k) // stride + 1
         ow = (w + 2 * pw - k) // stride + 1
@@ -135,8 +166,10 @@ class TestOpParity:
         ref = run_conv("numpy", x_np, w_np, b_np, g_np, stride, padding)
         got = run_conv(name, x_np, w_np, b_np, g_np, stride, padding)
         assert_parity("conv2d_forward", ref[0], got[0])
+        assert (got[3] is None) == (not has_bias)
         for ref_g, got_g in zip(ref[1:], got[1:]):
-            assert_parity("conv2d_backward", ref_g, got_g)
+            if ref_g is not None:
+                assert_parity("conv2d_backward", ref_g, got_g)
 
     @pytest.mark.parametrize("momentum,nesterov,decay", [
         (0.0, False, 0.0),
@@ -256,6 +289,33 @@ class TestParityContract:
             backend.set_backend(prev.name)
 
 
+class TestFastConvBranch:
+    @pytest.mark.parametrize("shape,branch", CONV_BRANCHES)
+    def test_branch_selection(self, rng, shape, branch):
+        """Only thin-output stride-1 convs take the thin branch; vanilla
+        ResNet convs keep the column-matrix branch they had."""
+        n, c_in, h, w, c_out, k, stride, padding = shape
+        ph, pw = padding if isinstance(padding, tuple) else (padding, padding)
+        x = rng.standard_normal((n, c_in, h, w)).astype(np.float32)
+        wt = rng.standard_normal((c_out, c_in, k, k)).astype(np.float32)
+        _, ctx = FastBackend().conv2d_forward(x, wt, None, stride, ph, pw, True)
+        assert ctx[0] == branch
+
+    def test_thin_forward_is_the_reference_gemm(self, rng):
+        """The thin branch changes only the backward: its forward is the
+        reference's column GEMM (transposed), which BLAS reduces in the
+        same order, so outputs are bit-identical.  A reordered forward
+        flips near-zero ReLU masks and breaks model-level gradient parity
+        on some seeds (see TestModelParity)."""
+        x = rng.standard_normal((4, 32, 16, 16)).astype(np.float32)
+        wt = rng.standard_normal((8, 32, 3, 3)).astype(np.float32)
+        b = rng.standard_normal((8,)).astype(np.float32)
+        ref, _ = backend.get("numpy").conv2d_forward(x, wt, b, 1, 1, 1, True)
+        got, ctx = FastBackend().conv2d_forward(x, wt, b, 1, 1, 1, True)
+        assert ctx[0] == "thin"
+        assert np.array_equal(got, ref)
+
+
 class TestThreadedGather:
     def test_threaded_conv_matches_serial(self, rng):
         """REPRO_BACKEND_THREADS gathering is per-sample-partitioned and
@@ -274,3 +334,32 @@ class TestThreadedGather:
             threaded.conv2d_backward(g, ctx_t, True, True, True),
         ):
             assert np.array_equal(gs, gt)
+
+
+class TestModelParity:
+    # Seeds 14 and 15 have pre-activations within fp32 rounding of zero: a
+    # conv forward that reorders the reference's sums flips their ReLU
+    # masks and moves whole gradient terms, far outside the tolerances.
+    @pytest.mark.parametrize("seed", [0, 14, 15])
+    def test_hybrid_resnet18_loss_and_grads(self, seed):
+        """One batch through the Pufferfish hybrid ResNet-18: loss and
+        every parameter gradient under each backend must match the
+        reference within the published tolerances (the repo benchmark's
+        set-up check, at its size)."""
+        set_seed(seed)
+        vanilla = resnet18(num_classes=10, width_mult=0.25)
+        model, _ = build_hybrid(vanilla, resnet18_hybrid_config(vanilla, 0.25))
+        data = make_cifar_like(n=16, num_classes=10, rng=np.random.default_rng(seed))
+        results = {}
+        for name in ["numpy", *NON_REF]:
+            m = copy.deepcopy(model)
+            with backend.use(name):
+                loss = CrossEntropyLoss()(m(Tensor(data.images)), data.labels)
+                loss.backward()
+            results[name] = [loss.data] + [p.grad for p in m.parameters()]
+        ref = results.pop("numpy")
+        for got in results.values():
+            assert len(got) == len(ref)
+            for r, g in zip(ref, got):
+                assert g is not None
+                assert np.allclose(g, r, rtol=TOLERANCE_RTOL, atol=TOLERANCE_ATOL)

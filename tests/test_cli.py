@@ -615,6 +615,34 @@ class TestGatewayCommand:
         assert rc == 2
         assert "bad gateway configuration" in capsys.readouterr().err
 
+    def test_closed_loop_throughput_uses_replay_time(self, tmp_path, monkeypatch, capsys):
+        """A closed loop ignores arrival times: throughput is completed
+        requests over the time the replay took, not over --duration."""
+        import asyncio
+        import json
+
+        from repro.gateway import LoadClient, RequestRecord
+
+        async def fake_closed(self, trace, workers):
+            await asyncio.sleep(0.2)
+            return [RequestRecord(rid=r.rid, sent_s=0.0, http_status=200,
+                                  status="completed", latency_s=0.01) for r in trace]
+
+        monkeypatch.setattr(LoadClient, "run_closed", fake_closed)
+        out_path = tmp_path / "loadtest.json"
+        rc = main([
+            "gateway", "loadtest", "--port", "9", "--rate", "50", "--duration", "20",
+            "--seed", "0", "--mode", "closed", "--out", str(out_path),
+        ])
+        assert rc == 0
+        summary = json.loads(out_path.read_text())["summary"]
+        n = summary["n_completed"]
+        assert n >= 500
+        # Offered-duration accounting would report n / 20 s (~50 rps);
+        # the replay took ~0.2 s.
+        assert summary["throughput_rps"] > 10 * n / 20
+        assert f"throughput {summary['throughput_rps']:.1f} rps" in capsys.readouterr().out
+
     def test_loadtest_bad_config_exits_2(self, capsys):
         rc = main(["gateway", "loadtest", "--port", "1", "--rate", "-3"])
         assert rc == 2

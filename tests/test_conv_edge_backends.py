@@ -4,8 +4,8 @@ Each case is checked two ways: against a direct-loop reference (gold
 standard for correctness) where practical, and parity-asserted between
 the numpy reference backend and each alternative backend (the contract
 `tests/test_backend_parity.py` establishes op-by-op, here at the edges:
-stride>1 with asymmetric padding, the 1×1 fast path, non-contiguous
-inputs, and empty batches).
+stride>1 with asymmetric padding, the 1×1 fast path, the thin-output
+shifted-GEMM path, non-contiguous inputs, and empty batches).
 """
 
 import numpy as np
@@ -103,11 +103,18 @@ class TestEdgeParity:
     def test_non_contiguous_input(self, name, rng):
         """Strided views (e.g. a spatially subsampled batch) must conv
         identically to their contiguous copies."""
-        base = rng.standard_normal((2, 3, 16, 16)).astype(np.float32)
+        self._check_non_contiguous(name, rng, 3, 4)
+
+    def test_thin_non_contiguous_input(self, name, rng):
+        """Same, through the thin-output (c_out = c_in/4) branch."""
+        self._check_non_contiguous(name, rng, 16, 4)
+
+    def _check_non_contiguous(self, name, rng, c_in, c_out):
+        base = rng.standard_normal((2, c_in, 16, 16)).astype(np.float32)
         view = base[:, :, ::2, ::2]
         assert not view.flags["C_CONTIGUOUS"]
-        w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
-        b = rng.standard_normal((4,)).astype(np.float32)
+        w = rng.standard_normal((c_out, c_in, 3, 3)).astype(np.float32)
+        b = rng.standard_normal((c_out,)).astype(np.float32)
         ref_out = run_conv("numpy", np.ascontiguousarray(view), w, b, 1, 1)[0]
         g = rng.standard_normal(ref_out.shape).astype(np.float32)
         ref = run_conv("numpy", np.ascontiguousarray(view), w, b, 1, 1, g)
@@ -118,14 +125,21 @@ class TestEdgeParity:
     def test_empty_batch(self, name, rng):
         """N=0 must produce an empty output and zero-shaped gradients,
         not crash inside the gather or GEMM."""
-        x = np.empty((0, 3, 8, 8), dtype=np.float32)
-        w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
-        b = rng.standard_normal((4,)).astype(np.float32)
+        self._check_empty_batch(name, rng, 3, 4)
+
+    def test_thin_empty_batch(self, name, rng):
+        """Same, through the thin-output (c_out = c_in/4) branch."""
+        self._check_empty_batch(name, rng, 16, 4)
+
+    def _check_empty_batch(self, name, rng, c_in, c_out):
+        x = np.empty((0, c_in, 8, 8), dtype=np.float32)
+        w = rng.standard_normal((c_out, c_in, 3, 3)).astype(np.float32)
+        b = rng.standard_normal((c_out,)).astype(np.float32)
         for be in ("numpy", name):
             out, gx, gw, gb = run_conv(
-                be, x, w, b, 1, 1, np.empty((0, 4, 8, 8), dtype=np.float32)
+                be, x, w, b, 1, 1, np.empty((0, c_out, 8, 8), dtype=np.float32)
             )
-            assert out.shape == (0, 4, 8, 8)
+            assert out.shape == (0, c_out, 8, 8)
             assert gx.shape == x.shape
             assert np.array_equal(gw, np.zeros_like(w))
             assert np.array_equal(gb, np.zeros_like(b))
