@@ -40,6 +40,14 @@ MIN_SPEEDUP = {
     # shifted output-gradient slabs, with no column gradient or col2im.
     "conv2d_forward_thin": 1.5,
     "conv2d_backward_thin": 3.0,
+    # Square conv (the hybrid and vanilla ResNet-18 layer1 convs): the same
+    # kn2row input gradient as the thin row, at c_out = c_in.
+    "conv2d_backward_square": 1.2,
+    # BatchNorm2d training step on a layer1 activation: the fast forward is
+    # bit-identical in two full-size buffers, the backward two reductions
+    # and an in-place chain.
+    "batch_norm_forward": 1.1,
+    "batch_norm_backward": 1.3,
     "im2col": 1.0,
     "matmul": None,
     "relu": None,
@@ -114,6 +122,11 @@ CONV_CASES = [
     # Hybrid ResNet-18 (width 0.25, rank ratio 0.25) layer2 conv_u at batch 128.
     ("_thin", dict(n=128, c=32, hw=16, co=8), "N128 C32 16x16 k3 s1 p1 -> C8"),
 ]
+CONV_BACKWARD_CASES = [
+    *CONV_CASES,
+    # Hybrid/vanilla ResNet-18 (width 0.25) layer1 square conv at batch 128.
+    ("_square", dict(n=128, c=16, hw=32, co=16), "N128 C16 32x32 k3 s1 p1 -> C16"),
+]
 
 
 @pytest.mark.parametrize("suffix,dims,label", CONV_CASES)
@@ -131,7 +144,7 @@ def test_conv2d_forward_speedup(rng, suffix, dims, label):
     assert ok
 
 
-@pytest.mark.parametrize("suffix,dims,label", CONV_CASES)
+@pytest.mark.parametrize("suffix,dims,label", CONV_BACKWARD_CASES)
 def test_conv2d_backward_speedup(rng, suffix, dims, label):
     x, w, b = conv_inputs(rng, **dims)
     g = rng.standard_normal((dims["n"], dims["co"], dims["hw"], dims["hw"])).astype(np.float32)
@@ -144,6 +157,32 @@ def test_conv2d_backward_speedup(rng, suffix, dims, label):
     n_ms = best_ms(lambda: ref_be.conv2d_backward(g, ref_ctx, True, True, True))
     f_ms = best_ms(lambda: fast_be.conv2d_backward(g, fast_ctx, True, True, True))
     record("conv2d_backward", label, n_ms, f_ms, all(oks), max(errs), suffix)
+    assert all(oks)
+
+
+def test_batch_norm_parity_speed(rng):
+    x = (rng.standard_normal((128, 16, 32, 32)) * 2 + 0.5).astype(np.float32)
+    g = rng.standard_normal(x.shape).astype(np.float32)
+    gamma, beta = rng.standard_normal((2, 16)).astype(np.float32)
+    args = (gamma, beta, (0, 2, 3), 1e-5, None)
+    ref_be, fast_be = backend.get("numpy"), backend.get("fast")
+    ref_fwd, got_fwd = ref_be.batch_norm_forward(x, *args), fast_be.batch_norm_forward(x, *args)
+    oks, errs = zip(
+        *(check_parity("batch_norm_forward", r, o) for r, o in zip(ref_fwd[:3], got_fwd[:3]))
+    )
+    n_ms = best_ms(lambda: ref_be.batch_norm_forward(x, *args))
+    f_ms = best_ms(lambda: fast_be.batch_norm_forward(x, *args))
+    label = "N128 C16 32x32, training"
+    record("batch_norm_forward", label, n_ms, f_ms, all(oks), max(errs))
+    assert all(oks)
+
+    ref_ctx, fast_ctx = ref_fwd[3], got_fwd[3]
+    ref_g = ref_be.batch_norm_backward(g, gamma, ref_ctx, True, True, True)
+    got_g = fast_be.batch_norm_backward(g, gamma, fast_ctx, True, True, True)
+    oks, errs = zip(*(check_parity("batch_norm_backward", r, o) for r, o in zip(ref_g, got_g)))
+    n_ms = best_ms(lambda: ref_be.batch_norm_backward(g, gamma, ref_ctx, True, True, True))
+    f_ms = best_ms(lambda: fast_be.batch_norm_backward(g, gamma, fast_ctx, True, True, True))
+    record("batch_norm_backward", label, n_ms, f_ms, all(oks), max(errs))
     assert all(oks)
 
 

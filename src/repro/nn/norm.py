@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..tensor import Tensor
+from ..tensor import backend as _backend
 from .module import Module, Parameter
 
 __all__ = ["BatchNorm2d", "BatchNorm1d", "LayerNorm"]
@@ -31,12 +32,17 @@ class _BatchNormBase(Module):
         self.register_buffer("running_var", np.ones(num_features, dtype=np.float32))
 
     def _normalize(self, x: Tensor, axes: tuple[int, ...], shape) -> Tensor:
-        """Shared fused forward/backward over reduction ``axes``."""
+        """Shared fused forward/backward over reduction ``axes``; the math
+        runs in the active backend's ``batch_norm_forward``/``_backward``."""
         gamma, beta = self.weight, self.bias
-        eps = self.eps
+        be = _backend.active()
+        stats = None
+        if not self.training:
+            stats = (self.running_mean.reshape(shape), self.running_var.reshape(shape))
+        out, mu, var, ctx = be.batch_norm_forward(
+            x.data, gamma.data, beta.data, axes, self.eps, stats
+        )
         if self.training:
-            mu = x.data.mean(axis=axes, keepdims=True)
-            var = x.data.var(axis=axes, keepdims=True)
             m = self.momentum
             # Unbiased variance for the running estimate, as in PyTorch.
             n = x.data.size / self.num_features
@@ -48,36 +54,17 @@ class _BatchNormBase(Module):
             self._set_buffer(
                 "running_var", ((1 - m) * self.running_var + m * unbias).astype(np.float32)
             )
-        else:
-            mu = self.running_mean.reshape(shape)
-            var = self.running_var.reshape(shape)
-
-        inv_std = 1.0 / np.sqrt(var + eps)
-        x_hat = (x.data - mu) * inv_std
-        out = x_hat * gamma.data.reshape(shape) + beta.data.reshape(shape)
-        training = self.training
 
         def backward(g: np.ndarray) -> None:
-            if gamma.requires_grad:
-                gamma._accumulate((g * x_hat).sum(axis=axes))
-            if beta.requires_grad:
-                beta._accumulate(g.sum(axis=axes))
-            if x.requires_grad:
-                gw = g * gamma.data.reshape(shape)
-                if training:
-                    n = x.data.size / gamma.data.size
-                    dxhat = gw
-                    x._accumulate(
-                        inv_std
-                        / n
-                        * (
-                            n * dxhat
-                            - dxhat.sum(axis=axes, keepdims=True)
-                            - x_hat * (dxhat * x_hat).sum(axis=axes, keepdims=True)
-                        )
-                    )
-                else:
-                    x._accumulate(gw * inv_std)
+            gx, gw, gb = be.batch_norm_backward(
+                g, gamma.data, ctx, x.requires_grad, gamma.requires_grad, beta.requires_grad
+            )
+            if gw is not None:
+                gamma._accumulate(gw)
+            if gb is not None:
+                beta._accumulate(gb)
+            if gx is not None:
+                x._accumulate(gx)
 
         return Tensor._from_op(
             out.astype(x.dtype, copy=False), (x, gamma, beta), backward, "batch_norm"

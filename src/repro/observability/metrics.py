@@ -176,27 +176,35 @@ class Histogram(_Metric):
             xs = sorted(self._values)
         if not xs:
             raise ValueError(f"histogram {self.name!r} has no observations")
-        pos = q * (len(xs) - 1)
-        lo = int(pos)
-        hi = min(lo + 1, len(xs) - 1)
-        frac = pos - lo
-        return xs[lo] * (1.0 - frac) + xs[hi] * frac
+        return _sorted_quantile(xs, q)
 
     def collect(self, out: dict) -> None:
-        if self._values:
+        with self._lock:
+            values = list(self._values)
+        if values:
+            xs = sorted(values)  # one sort serves min, max and every quantile
             out[self.name] = {
-                "count": self.count,
-                "sum": self.sum,
-                "min": min(self._values),
-                "max": max(self._values),
-                "p50": self.quantile(0.5),
-                "p90": self.quantile(0.9),
-                "p99": self.quantile(0.99),
+                "count": len(values),
+                "sum": float(sum(values)),
+                "min": xs[0],
+                "max": xs[-1],
+                "p50": _sorted_quantile(xs, 0.5),
+                "p90": _sorted_quantile(xs, 0.9),
+                "p99": _sorted_quantile(xs, 0.99),
             }
         else:
             out[self.name] = {"count": 0, "sum": 0.0}
         for child in self._iter_children():
             child.collect(out)
+
+
+def _sorted_quantile(xs: list[float], q: float) -> float:
+    """Linear-interpolation quantile of an already sorted, non-empty list."""
+    pos = q * (len(xs) - 1)
+    lo = int(pos)
+    hi = min(lo + 1, len(xs) - 1)
+    frac = pos - lo
+    return xs[lo] * (1.0 - frac) + xs[hi] * frac
 
 
 class MetricsRegistry:

@@ -1,7 +1,7 @@
 """Pluggable op backends for the tensor engine.
 
 Every hot kernel in :mod:`repro.tensor` (im2col convolution, GEMM, relu,
-the fused bias+relu chain, and the :class:`repro.optim.FusedSGD` update)
+the fused bias+relu chain, batch norm, and the fused optimizer updates)
 dispatches through the *active* backend:
 
 ``numpy``
@@ -16,9 +16,11 @@ dispatches through the *active* backend:
     transpose copies at all), fused elementwise chains (``bias_relu`` in
     one pass via ``np.maximum(x + b, 0, out=...)``), and optional
     threaded per-sample patch gathering (``REPRO_BACKEND_THREADS``).
-    Thin-output stride-1 convs (a factorized ``conv_u``) skip col2im in
-    the backward: their input gradient is one GEMM over k² shifted
-    copies of the output gradient (the adjoint of kn2row).
+    Stride-1 convs with ``c_out ≤ c_in`` (a factorized ``conv_u``, every
+    square ResNet conv) skip col2im in the backward: their input gradient
+    is one GEMM over k² shifted copies of the output gradient (the
+    adjoint of kn2row).  Batch norm runs in two full-size buffers each
+    way.
 
 Selection, in precedence order: ``repro.tensor.backend.use()`` context
 manager > ``set_backend()`` / the ``--backend`` CLI flag > the
@@ -57,11 +59,12 @@ __all__ = [
 
 # Parity contract per dispatched op, shared by the parity tests and the
 # kernel benchmark.  ``tolerance`` ops change float summation order: the
-# fast conv flips GEMM orientation, and its thin-output backward sums each
+# fast conv flips GEMM orientation, and its kn2row backward sums each
 # input-gradient element's kh·kw·c_out terms in one chain where the
 # reference rounds one partial sum per kernel offset and adds those in
-# offset order.  Everything else must match the reference under
-# ``np.array_equal``.
+# offset order; the fast batch-norm backward forms the input gradient from
+# Σg and Σg·x_hat where the reference sums g·γ and g·γ·x_hat.  Everything
+# else must match the reference under ``np.array_equal``.
 PARITY: dict[str, str] = {
     "matmul": "bit-exact",
     "relu": "bit-exact",
@@ -78,6 +81,10 @@ PARITY: dict[str, str] = {
     # the tolerance tag.
     "adam_update": "bit-exact",
     "lamb_update": "tolerance",
+    # Output and batch statistics are bit-identical (the running-stat
+    # update and every ReLU mask downstream of it stay exact).
+    "batch_norm_forward": "bit-exact",
+    "batch_norm_backward": "tolerance",
 }
 
 # Tolerances for ``tolerance``-tagged ops.  fp32 reassociation error in a
@@ -112,14 +119,24 @@ def _pad_pair(padding: int | tuple[int, int]) -> tuple[int, int]:
 _SCRATCH: dict[tuple, np.ndarray] = {}
 _SCRATCH_MAX = 32
 
+# Shifted output-gradient slabs per kn2row GEMM (see
+# FastBackend._kn2row_input_grad): about one core's L2.  Measured on a
+# 4 MB-L2 host, 2–16 MB chunks ran a batch-128 32×32 C16 input gradient
+# in 17–19 ms against 38 ms for one whole-batch GEMM.
+_KN2ROW_CHUNK_BYTES = 4 << 20
+
 
 def _scratch(tag: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """Pooled buffer per ``(tag, shape, dtype)``.  A full pool evicts its
+    least-recently-used key: dict order is recency order, because every
+    hit re-inserts its key at the end."""
     key = (tag, shape, np.dtype(dtype).str)
-    buf = _SCRATCH.get(key)
+    buf = _SCRATCH.pop(key, None)
     if buf is None:
         if len(_SCRATCH) >= _SCRATCH_MAX:
-            _SCRATCH.clear()
-        buf = _SCRATCH[key] = np.empty(shape, dtype=dtype)
+            del _SCRATCH[next(iter(_SCRATCH))]
+        buf = np.empty(shape, dtype=dtype)
+    _SCRATCH[key] = buf
     return buf
 
 
@@ -127,6 +144,24 @@ def _zeroed_scratch(tag: str, shape: tuple[int, ...], dtype) -> np.ndarray:
     buf = _scratch(tag, shape, dtype)
     buf.fill(0)
     return buf
+
+
+def _zeroed_once_scratch(tag: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """Pooled buffer zeroed only when first allocated, for callers that
+    overwrite the same elements on every use (so the rest stays zero)."""
+    fresh = (tag, shape, np.dtype(dtype).str) not in _SCRATCH
+    buf = _scratch(tag, shape, dtype)
+    if fresh:
+        buf.fill(0)
+    return buf
+
+
+def _conv_bias_grad(g: np.ndarray) -> np.ndarray:
+    """The reference's conv bias gradient, bit for bit: a row-by-row sum
+    over a ``(N·oh·ow, c_out)`` copy of ``g``.  A pairwise sum over ``g``'s
+    contiguous pixels is more accurate, but at ~10⁵ pixels (batch 128,
+    32×32) it already differs from the reference beyond the tolerances."""
+    return g.transpose(0, 2, 3, 1).reshape(-1, g.shape[1]).sum(axis=0)
 
 
 # ----------------------------------------------------------------------
@@ -275,6 +310,66 @@ class Backend:
             gcols = g2d @ w2d  # (N*oh*ow, C*kh*kw)
             gx = self.col2im(gcols, x_shape, kh, kw, stride, ph, pw)
         return gw, gb, gx
+
+    # -- batch norm ----------------------------------------------------
+
+    def batch_norm_forward(
+        self,
+        x: np.ndarray,
+        gamma: np.ndarray,
+        beta: np.ndarray,
+        axes: tuple[int, ...],
+        eps: float,
+        stats: tuple[np.ndarray, np.ndarray] | None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+        """Normalize ``x`` per channel over ``axes``; returns ``(out, mu,
+        var, ctx)`` for :meth:`batch_norm_backward`.
+
+        ``stats=None`` (training) normalizes with the batch mean and biased
+        variance, both kept-dims; otherwise ``stats`` is the kept-dims
+        ``(mean, var)`` pair to use (the running estimates in eval mode).
+        """
+        if stats is None:
+            mu = x.mean(axis=axes, keepdims=True)
+            var = x.var(axis=axes, keepdims=True)
+        else:
+            mu, var = stats
+        inv_std = 1.0 / np.sqrt(var + eps)
+        x_hat = (x - mu) * inv_std
+        out = x_hat * gamma.reshape(mu.shape) + beta.reshape(mu.shape)
+        return out, mu, var, (x_hat, inv_std, axes, stats is None)
+
+    def batch_norm_backward(
+        self,
+        g: np.ndarray,
+        gamma: np.ndarray,
+        ctx: tuple,
+        need_gx: bool,
+        need_gw: bool,
+        need_gb: bool,
+    ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+        """Gradients ``(gx, gγ, gβ)``; ``None`` where not requested."""
+        x_hat, inv_std, axes, training = ctx
+        shape = inv_std.shape
+        gw = (g * x_hat).sum(axis=axes) if need_gw else None
+        gb = g.sum(axis=axes) if need_gb else None
+        gx = None
+        if need_gx:
+            dxhat = g * gamma.reshape(shape)
+            if training:
+                n = x_hat.size / gamma.size
+                gx = (
+                    inv_std
+                    / n
+                    * (
+                        n * dxhat
+                        - dxhat.sum(axis=axes, keepdims=True)
+                        - x_hat * (dxhat * x_hat).sum(axis=axes, keepdims=True)
+                    )
+                )
+            else:
+                gx = dxhat * inv_std
+        return gx, gw, gb
 
     # -- optimizer -----------------------------------------------------
 
@@ -435,35 +530,40 @@ class FastBackend(Backend):
     in-place bias add.  The backward reuses ``colsT`` for the weight
     gradient and scatter-adds the input gradient with the same slab
     loop.  Outputs change GEMM orientation vs the reference, so conv
-    forward/backward are ``tolerance``-tagged; everything else is
-    bit-exact.
+    forward/backward are ``tolerance``-tagged (see :data:`PARITY` for
+    every op's tag).
 
     The input gradient is the expensive half of that backward: a
     ``(c_in·k², N·oh·ow)`` column gradient, then k² slab adds of
-    ``c_in``-channel slabs.  Its size does not depend on ``c_out``, so a
-    thin-output conv (a Pufferfish ``conv_u``: ``c_out = r ≈ c_in/4``)
-    pays a full conv's col2im for a quarter of its GEMM.  Stride-1 convs
-    whose per-offset output-gradient slab is smaller than the column
-    buffer it replaces — ``c_out·Hp·Wp < c_in·oh·ow``, padded input
-    against output pixels — are tagged ``"thin"`` and take the adjoint
-    of kn2row / shift-and-accumulate (Anderson et al. 2017) instead:
-    ``g`` is scattered into k² shifted, zero-bordered slabs ``G`` and
-    one GEMM ``w_stackᵀ @ G`` over all ``N·Hp·Wp`` pixels gives the
-    padded input gradient.  In a hybrid ResNet-18 every stride-1
-    ``conv_u`` takes this branch; no vanilla ResNet conv
-    (``c_out ≥ c_in``), no strided conv and no unpadded 1×1 conv (those
-    keep the batched-GEMM branch) does.
+    ``c_in``-channel slabs.  Stride-1 convs with ``c_out ≤ c_in`` are
+    tagged ``"kn2row"`` and take the adjoint of kn2row /
+    shift-and-accumulate (Anderson et al. 2017) instead: ``g`` is
+    scattered into k² shifted, zero-bordered slabs ``G`` and one GEMM
+    ``w_stackᵀ @ G`` over all ``N·Hp·Wp`` pixels gives the padded input
+    gradient, with no column gradient and no col2im.  ``G`` holds
+    ``k²·c_out`` rows against the column gradient's ``k²·c_in``, so the
+    rule stops at square convs: ``c_out > c_in`` convs (the stem) keep
+    the column branch, as do strided convs (kn2row needs stride 1) and
+    unpadded 1×1 convs (the batched-GEMM branch).  In a hybrid ResNet-18
+    every stride-1 ``conv_u`` and the square layer1 convs take it; in a
+    vanilla ResNet-18 every stride-1 conv after the stem does.
 
-    The thin forward and weight gradient stay the column GEMMs above:
-    they reduce every element over the reference's K order, so with the
-    same BLAS they match it bit for bit.  A forward that reorders those
-    sums (kn2row proper) perturbs pre-activations by an ulp, which flips
+    The forward and weight gradient stay the column GEMMs above: they
+    reduce every element over the reference's K order, so with the same
+    BLAS they match it bit for bit.  A forward that reorders those sums
+    (kn2row proper) perturbs pre-activations by an ulp, which flips
     near-zero ReLU masks and moves whole gradient terms: in a batch-16
     fast-vs-numpy gradient check of the hybrid ResNet-18, 13 of 40 seeds
     then miss the tolerances.  The weight gradient is computed as
-    ``(colsT @ gTᵀ)ᵀ``, the same reduction as ``gT @ colsTᵀ`` and about
-    twice as fast for a thin ``gT``.  The ctx tag (``"1x1"``, ``"thin"``,
-    ``"gen"``) names the branch.
+    ``(colsT @ gTᵀ)ᵀ``, the same reduction as ``gT @ colsTᵀ`` and
+    1.3–2.4× faster on every ResNet-18 conv shape.  The ctx tag
+    (``"1x1"``, ``"kn2row"``, ``"gen"``) names the branch.
+
+    Batch norm keeps the same line: its forward output and batch
+    statistics are bit-identical to the reference, computed from one
+    ``x − μ`` buffer and the output buffer instead of about ten
+    full-size temporaries; only its backward reassociates (see
+    :meth:`batch_norm_backward`).
     """
 
     name = "fast"
@@ -618,15 +718,13 @@ class FastBackend(Backend):
         out = np.ascontiguousarray(
             oT.reshape(c_out, n, out_h, out_w).transpose(1, 0, 2, 3)
         )
-        # Thin output: the backward's shifted-slab buffer (c_out·Hp·Wp per
-        # offset and sample) is smaller than the column buffer it replaces
-        # (c_in·oh·ow).  The forward is the same column GEMM either way.
-        thin = stride == 1 and c_out * (h + 2 * ph) * (w + 2 * pw) < c_in * out_h * out_w
-        tag = "thin" if thin else "gen"
+        # The forward is the same column GEMM on both branches; the tag
+        # only picks the backward's input-gradient algorithm.
+        tag = "kn2row" if stride == 1 and c_out <= c_in else "gen"
         ctx = (tag, colsT, w2d, x.shape, kh, kw, stride, ph, pw) if want_ctx else None
         return out, ctx
 
-    def _thin_input_grad(
+    def _kn2row_input_grad(
         self,
         gT: np.ndarray,
         w2d: np.ndarray,
@@ -642,25 +740,39 @@ class FastBackend(Backend):
         ``(i, j)`` inside the zero-bordered padded grid, so one GEMM of the
         stacked weight ``(kh·kw·c_out, c_in)`` against ``G`` sums every
         offset's contribution at every padded input pixel.  No
-        ``(c_in·kh·kw, N·oh·ow)`` column gradient and no col2im pass.
+        ``(c_in·kh·kw, N·oh·ow)`` column gradient and no col2im pass.  The
+        batch runs in chunks of at most :data:`_KN2ROW_CHUNK_BYTES` of
+        slabs, so ``G`` stays cache-resident between its writes and the
+        GEMM that reads it, and its pooled buffer does not grow with N.
         """
         n, c_in, h, w = x_shape
         c_out = gT.shape[0]
         hp, wp = h + 2 * ph, w + 2 * pw
         out_h, out_w = hp - kh + 1, wp - kw + 1
-        G = _zeroed_scratch("thin_slabs", (kh * kw * c_out, n * hp * wp), gT.dtype)
-        slabs = G.reshape(kh, kw, c_out, n, hp, wp)
-        g4 = gT.reshape(c_out, n, out_h, out_w)
-        for i in range(kh):
-            for j in range(kw):
-                slabs[i, j, :, :, i : i + out_h, j : j + out_w] = g4
+        rows = kh * kw * c_out
+        nb = max(1, min(n, _KN2ROW_CHUNK_BYTES // (rows * hp * wp * gT.itemsize)))
+        # Slab (i, j) is written only inside its (i, j)-shifted window, and
+        # the key's shape fixes every window, so the zero border survives
+        # reuse of the buffer.
+        slabs = _zeroed_once_scratch("kn2row_slabs", (kh, kw, c_out, nb, hp, wp), gT.dtype)
+        G = slabs.reshape(rows, nb * hp * wp)
+        gxc = _scratch("kn2row_gx", (c_in, nb * hp * wp), gT.dtype)
         # Row (i·kw + j)·c_out + o of the stacked weight is weight[o, :, i, j].
         w_stack = w2d.reshape(c_out, c_in, kh, kw).transpose(2, 3, 0, 1).reshape(-1, c_in)
-        gxc = _scratch("thin_gx", (c_in, n * hp * wp), gT.dtype)
-        np.matmul(w_stack.T, G, out=gxc)
-        return np.ascontiguousarray(
-            gxc.reshape(c_in, n, hp, wp)[:, :, ph : ph + h, pw : pw + w].transpose(1, 0, 2, 3)
-        )
+        g4 = gT.reshape(c_out, n, out_h, out_w)
+        gx = np.empty(x_shape, dtype=gT.dtype)
+        for lo in range(0, n, nb):
+            m = min(nb, n - lo)
+            for i in range(kh):
+                for j in range(kw):
+                    slabs[i, j, :, :m, i : i + out_h, j : j + out_w] = g4[:, lo : lo + m]
+            # A short last chunk uses the first m samples' columns of G.
+            cols = m * hp * wp
+            np.matmul(w_stack.T, G[:, :cols], out=gxc[:, :cols])
+            gx[lo : lo + m] = gxc[:, :cols].reshape(c_in, m, hp, wp)[
+                :, :, ph : ph + h, pw : pw + w
+            ].transpose(1, 0, 2, 3)
+        return gx
 
     def conv2d_backward(
         self,
@@ -680,7 +792,7 @@ class FastBackend(Backend):
                 # Batched per-sample outer products, reduced over N.
                 gw = np.matmul(g3, x3.transpose(0, 2, 1)).sum(axis=0)
                 gw = gw.reshape(c_out, c_in, 1, 1)
-            gb = g.sum(axis=(0, 2, 3)) if need_gb else None
+            gb = _conv_bias_grad(g) if need_gb else None
             gx = None
             if need_gx:
                 gx = np.matmul(w2d.T, g3).reshape(x_shape)
@@ -694,14 +806,12 @@ class FastBackend(Backend):
         # (N, c_out, oh, ow) -> (c_out, N*oh*ow), matching colsT's columns.
         gT = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(c_out, -1)
         gw = None
-        if need_gw and tag == "thin":
+        if need_gw:
             gw = np.ascontiguousarray((colsT @ gT.T).T).reshape(c_out, c_in, kh, kw)
-        elif need_gw:
-            gw = (gT @ colsT.T).reshape(c_out, c_in, kh, kw)
-        gb = gT.sum(axis=1) if need_gb else None
+        gb = _conv_bias_grad(g) if need_gb else None
         gx = None
-        if need_gx and tag == "thin":
-            gx = self._thin_input_grad(gT, w2d, x_shape, kh, kw, ph, pw)
+        if need_gx and tag == "kn2row":
+            gx = self._kn2row_input_grad(gT, w2d, x_shape, kh, kw, ph, pw)
         elif need_gx:
             gcolsT = _scratch("gcolsT", colsT.shape, colsT.dtype)
             np.matmul(w2d.T, gT, out=gcolsT)
@@ -724,6 +834,75 @@ class FastBackend(Backend):
             else:
                 gx = padded
         return gw, gb, gx
+
+    # -- batch norm ----------------------------------------------------
+
+    def batch_norm_forward(
+        self,
+        x: np.ndarray,
+        gamma: np.ndarray,
+        beta: np.ndarray,
+        axes: tuple[int, ...],
+        eps: float,
+        stats: tuple[np.ndarray, np.ndarray] | None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+        """The reference's elementwise chain with two full-size buffers.
+
+        The batch mean and variance repeat what ``np.mean``/``np.var`` run
+        (``np.add.reduce``, then ``true_divide`` by the ``intp`` count), but
+        ``x − μ`` is formed once: squared into the output buffer for the
+        variance, then scaled in place into ``x_hat``.  Every value is
+        rounded exactly as in the reference, so the output and batch
+        statistics are bit-identical.
+        """
+        if stats is None:
+            count = np.intp(x.size // gamma.size)
+            mu = np.add.reduce(x, axis=axes, keepdims=True)
+            np.true_divide(mu, count, out=mu, casting="unsafe")
+        else:
+            mu, var = stats
+        x_hat = x - mu
+        out = np.empty(x_hat.shape, np.result_type(x_hat, gamma, beta))
+        if stats is None:
+            np.square(x_hat, out=out)
+            var = np.add.reduce(out, axis=axes, keepdims=True)
+            np.true_divide(var, count, out=var, casting="unsafe")
+        inv_std = 1.0 / np.sqrt(var + eps)
+        x_hat *= inv_std
+        np.multiply(x_hat, gamma.reshape(mu.shape), out=out)
+        out += beta.reshape(mu.shape)
+        return out, mu, var, (x_hat, inv_std, axes, stats is None)
+
+    def batch_norm_backward(
+        self,
+        g: np.ndarray,
+        gamma: np.ndarray,
+        ctx: tuple,
+        need_gx: bool,
+        need_gw: bool,
+        need_gb: bool,
+    ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+        """Two reductions, ``Σg`` and ``Σg·x_hat`` (exactly the reference's
+        β and γ gradients), then ``gx = a·(g − (Σg + x_hat·Σg·x_hat)/n)``
+        with per-channel ``a = γ/σ``, built in place in the buffer that held
+        ``g·x_hat``.  The reference sums ``g·γ`` terms instead, so ``gx`` is
+        tolerance-tagged."""
+        x_hat, inv_std, axes, training = ctx
+        if not training:
+            return super().batch_norm_backward(g, gamma, ctx, need_gx, need_gw, need_gb)
+        sum_g = np.add.reduce(g, axis=axes, keepdims=True)
+        gx = g * x_hat
+        sum_gx = np.add.reduce(gx, axis=axes, keepdims=True)
+        gw = sum_gx.reshape(-1) if need_gw else None
+        gb = sum_g.reshape(-1) if need_gb else None
+        if not need_gx:
+            return None, gw, gb
+        n = x_hat.size / gamma.size
+        np.multiply(x_hat, sum_gx / -n, out=gx)
+        gx += g
+        gx += sum_g / -n
+        gx *= inv_std * gamma.reshape(inv_std.shape)
+        return gx, gw, gb
 
     # -- fused optimizers ----------------------------------------------
 

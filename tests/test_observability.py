@@ -318,6 +318,34 @@ class TestHistogram:
         assert rec["min"] == 1.0 and rec["max"] == 4.0
         assert rec["p50"] == pytest.approx(2.5)
 
+    def test_collect_sorts_once_and_matches_the_per_field_formula(self, rng, monkeypatch):
+        h = Histogram("h")
+        child = h.labels(route="a")
+        for x in rng.lognormal(size=1001):
+            h.observe(float(x))
+            child.observe(float(x) * 3)
+        expected = {
+            m.name: {
+                "count": m.count,
+                "sum": m.sum,
+                "min": min(m._values),
+                "max": max(m._values),
+                "p50": m.quantile(0.5),
+                "p90": m.quantile(0.9),
+                "p99": m.quantile(0.99),
+            }
+            for m in (h, child)
+        }
+        sorts = []
+        real_sorted = sorted
+        monkeypatch.setattr(
+            metrics_mod, "sorted", lambda xs: sorts.append(1) or real_sorted(xs), raising=False
+        )
+        out = {}
+        h.collect(out)
+        assert out == expected
+        assert len(sorts) == 2  # one per metric, not one per quantile
+
     def test_empty_histogram(self):
         h = Histogram("h")
         out = {}
