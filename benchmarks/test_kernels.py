@@ -43,6 +43,12 @@ MIN_SPEEDUP = {
     # Square conv (the hybrid and vanilla ResNet-18 layer1 convs): the same
     # kn2row input gradient as the thin row, at c_out = c_in.
     "conv2d_backward_square": 1.2,
+    # A training forward (want_ctx) plus its backward on the thin and square
+    # shapes.  The fast backward regathers the columns its forward no longer
+    # keeps, so work moves between the two ops and only their sum compares.
+    # Measured on a 2-core host: thin 3.3–3.8×, square 1.9–2.6×.
+    "conv2d_train_thin": 2.5,
+    "conv2d_train_square": 1.5,
     # BatchNorm2d training step on a layer1 activation: the fast forward is
     # bit-identical in two full-size buffers, the backward two reductions
     # and an in-place chain.
@@ -94,11 +100,12 @@ def check_parity(op: str, ref, got) -> tuple[bool, float]:
 
 
 def record(op: str, shape: str, numpy_ms: float, fast_ms: float, parity_ok: bool,
-           max_abs_err: float, suffix: str = "") -> None:
-    """Store the row ``op + suffix``; it carries ``op``'s parity tag."""
+           max_abs_err: float, suffix: str = "", tag_op: str | None = None) -> None:
+    """Store the row ``op + suffix``; it carries the parity tag of ``tag_op``
+    (default ``op``)."""
     row = op + suffix
     _RESULTS[row] = {
-        "tag": PARITY[op],
+        "tag": PARITY[tag_op or op],
         "shape": shape,
         "numpy_ms": round(numpy_ms, 4),
         "fast_ms": round(fast_ms, 4),
@@ -157,6 +164,30 @@ def test_conv2d_backward_speedup(rng, suffix, dims, label):
     n_ms = best_ms(lambda: ref_be.conv2d_backward(g, ref_ctx, True, True, True))
     f_ms = best_ms(lambda: fast_be.conv2d_backward(g, fast_ctx, True, True, True))
     record("conv2d_backward", label, n_ms, f_ms, all(oks), max(errs), suffix)
+    assert all(oks)
+
+
+@pytest.mark.parametrize("suffix,dims,label", CONV_BACKWARD_CASES[1:])
+def test_conv2d_train_speedup(rng, suffix, dims, label):
+    """Training forward plus backward, timed as one: the thin and square
+    rows' cost wherever the backend puts the column gather."""
+    x, w, b = conv_inputs(rng, **dims)
+    g = rng.standard_normal((dims["n"], dims["co"], dims["hw"], dims["hw"])).astype(np.float32)
+    ref_be, fast_be = backend.get("numpy"), backend.get("fast")
+
+    def train(be):
+        out, ctx = be.conv2d_forward(x, w, b, 1, 1, 1, True)
+        return out, be.conv2d_backward(g, ctx, True, True, True)
+
+    (ref_out, ref_g), (got_out, got_g) = train(ref_be), train(fast_be)
+    oks, errs = zip(
+        check_parity("conv2d_forward", ref_out, got_out),
+        *(check_parity("conv2d_backward", r, o) for r, o in zip(ref_g, got_g)),
+    )
+    n_ms = best_ms(lambda: train(ref_be))
+    f_ms = best_ms(lambda: train(fast_be))
+    record("conv2d_train", label, n_ms, f_ms, all(oks), max(errs), suffix,
+           tag_op="conv2d_backward")
     assert all(oks)
 
 

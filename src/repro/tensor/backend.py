@@ -10,17 +10,19 @@ dispatches through the *active* backend:
 
 ``fast``
     BLAS-oriented kernels: the im2col conv path gathers patches directly
-    into a transposed ``(C·kh·kw, N·oh·ow)`` layout so the forward pass
-    is one ``w2d @ cols`` GEMM (1×1 convs — the Pufferfish factorized
-    V-factor hot path — become a single batched ``np.matmul`` with no
-    transpose copies at all), fused elementwise chains (``bias_relu`` in
-    one pass via ``np.maximum(x + b, 0, out=...)``), and optional
-    threaded per-sample patch gathering (``REPRO_BACKEND_THREADS``).
-    Stride-1 convs with ``c_out ≤ c_in`` (a factorized ``conv_u``, every
-    square ResNet conv) skip col2im in the backward: their input gradient
-    is one GEMM over k² shifted copies of the output gradient (the
-    adjoint of kn2row).  Batch norm runs in two full-size buffers each
-    way.
+    into a transposed ``(C·kh·kw, N·oh·ow)`` layout, one cache-sized batch
+    chunk at a time, so the forward pass is one ``w2d @ cols`` GEMM per
+    chunk and no column matrix outlives it (1×1 convs — the Pufferfish
+    factorized V-factor hot path — become a single batched ``np.matmul``
+    with no transpose copies at all), fused elementwise chains
+    (``bias_relu`` in one pass via ``np.maximum(x + b, 0, out=...)``), and
+    optional threaded per-sample patch gathering
+    (``REPRO_BACKEND_THREADS``).  A training forward keeps only its padded
+    input; the backward gathers the columns again for the weight
+    gradient.  Stride-1 convs skip col2im in the backward: their input
+    gradient is one GEMM over k² shifted copies of the output gradient
+    (the adjoint of kn2row).  Batch norm runs in two full-size buffers
+    each way.
 
 Selection, in precedence order: ``repro.tensor.backend.use()`` context
 manager > ``set_backend()`` / the ``--backend`` CLI flag > the
@@ -39,6 +41,7 @@ speedups.
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
 
@@ -119,25 +122,45 @@ def _pad_pair(padding: int | tuple[int, int]) -> tuple[int, int]:
 _SCRATCH: dict[tuple, np.ndarray] = {}
 _SCRATCH_MAX = 32
 
-# Shifted output-gradient slabs per kn2row GEMM (see
-# FastBackend._kn2row_input_grad): about one core's L2.  Measured on a
-# 4 MB-L2 host, 2–16 MB chunks ran a batch-128 32×32 C16 input gradient
-# in 17–19 ms against 38 ms for one whole-batch GEMM.
-_KN2ROW_CHUNK_BYTES = 4 << 20
+# Batch-chunk budget for the fast conv's transient operands: the forward's
+# column chunk and the kn2row backward's shifted output-gradient slabs
+# (see FastBackend.conv2d_forward and _kn2row_input_grad).  About one
+# core's L2: on a 4 MB-L2 host, 2–16 MB chunks ran a batch-128 32×32 C16
+# kn2row input gradient in 17–19 ms against 38 ms for one whole-batch GEMM.
+_CONV_CHUNK_BYTES = 4 << 20
 
 
-def _scratch(tag: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-    """Pooled buffer per ``(tag, shape, dtype)``.  A full pool evicts its
-    least-recently-used key: dict order is recency order, because every
-    hit re-inserts its key at the end."""
-    key = (tag, shape, np.dtype(dtype).str)
+def _pooled(key: tuple, make) -> np.ndarray:
+    """The pool entry for ``key``, made by ``make()`` on a miss.  A full
+    pool evicts its least-recently-used key: dict order is recency order,
+    because every hit re-inserts its key at the end."""
     buf = _SCRATCH.pop(key, None)
     if buf is None:
         if len(_SCRATCH) >= _SCRATCH_MAX:
             del _SCRATCH[next(iter(_SCRATCH))]
-        buf = np.empty(shape, dtype=dtype)
+        buf = make()
     _SCRATCH[key] = buf
     return buf
+
+
+def _scratch(tag: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """Pooled buffer per ``(tag, shape, dtype)``."""
+    return _pooled((tag, shape, np.dtype(dtype).str), lambda: np.empty(shape, dtype=dtype))
+
+
+def _flat_scratch(tag: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """Pooled flat buffer per ``(tag, dtype)``, viewed as ``shape``.  It
+    starts at :data:`_CONV_CHUNK_BYTES` and grows to the largest request,
+    so one buffer serves every conv: a forward chunk uses its head, a
+    backward's full column matrix as much of it as it needs."""
+    dtype = np.dtype(dtype)
+    size = math.prod(shape)
+    key = (tag, "flat", dtype.str)
+    if key in _SCRATCH and _SCRATCH[key].size < size:
+        del _SCRATCH[key]  # drop the smaller buffer before allocating
+    floor = _CONV_CHUNK_BYTES // dtype.itemsize
+    buf = _pooled(key, lambda: np.empty(max(size, floor), dtype=dtype))
+    return buf[:size].reshape(shape)
 
 
 def _zeroed_scratch(tag: str, shape: tuple[int, ...], dtype) -> np.ndarray:
@@ -174,7 +197,7 @@ class Backend:
 
     Conv ops return/accept an opaque ``ctx`` so each backend can cache
     whatever its own backward pass needs (the reference keeps the im2col
-    rows, the fast backend keeps the transposed column matrix).  The
+    rows, the fast backend only the padded input).  The
     forward's backend owns the ctx layout, so the autograd closure binds
     the backend that ran the forward even if the active backend changes
     before ``backward()``.
@@ -524,40 +547,48 @@ class FastBackend(Backend):
     """BLAS-batched / fused kernels, parity-gated against the reference.
 
     Conv strategy: gather patches straight into the transposed layout
-    ``colsT = (C·kh·kw, N·oh·ow)`` with one slab assignment per kernel
+    ``cols = (C·kh·kw, N·oh·ow)`` with one slab assignment per kernel
     offset (kh·kw assignments instead of an N·oh·ow-row strided copy),
-    then run the forward as a single ``w2d @ colsT`` GEMM with an
-    in-place bias add.  The backward reuses ``colsT`` for the weight
-    gradient and scatter-adds the input gradient with the same slab
-    loop.  Outputs change GEMM orientation vs the reference, so conv
-    forward/backward are ``tolerance``-tagged (see :data:`PARITY` for
-    every op's tag).
+    then run ``w2d @ cols`` with an in-place bias add.  The forward does
+    this per batch chunk of at most :data:`_CONV_CHUNK_BYTES` of columns,
+    in one pooled chunk buffer, and writes each chunk's output straight
+    into NCHW: the chunk stays in cache from its gather to its GEMM, and
+    a training forward keeps only the padded input it already made,
+    about 1/k² of the column matrix (551 of a 1080 MB peak in a batch-128
+    hybrid ResNet-18 step went to kept columns).  The backward gathers
+    the full column matrix again into one pooled buffer for the weight
+    gradient ``(cols @ gTᵀ)ᵀ``, then, on the strided branch, overwrites
+    it with the column gradient ``w2dᵀ @ gT`` and scatter-adds that with
+    the same slab loop.  Outputs change GEMM orientation vs the
+    reference, so conv forward/backward are ``tolerance``-tagged (see
+    :data:`PARITY` for every op's tag).
 
-    The input gradient is the expensive half of that backward: a
-    ``(c_in·k², N·oh·ow)`` column gradient, then k² slab adds of
-    ``c_in``-channel slabs.  Stride-1 convs with ``c_out ≤ c_in`` are
-    tagged ``"kn2row"`` and take the adjoint of kn2row /
-    shift-and-accumulate (Anderson et al. 2017) instead: ``g`` is
-    scattered into k² shifted, zero-bordered slabs ``G`` and one GEMM
-    ``w_stackᵀ @ G`` over all ``N·Hp·Wp`` pixels gives the padded input
-    gradient, with no column gradient and no col2im.  ``G`` holds
-    ``k²·c_out`` rows against the column gradient's ``k²·c_in``, so the
-    rule stops at square convs: ``c_out > c_in`` convs (the stem) keep
-    the column branch, as do strided convs (kn2row needs stride 1) and
-    unpadded 1×1 convs (the batched-GEMM branch).  In a hybrid ResNet-18
-    every stride-1 ``conv_u`` and the square layer1 convs take it; in a
-    vanilla ResNet-18 every stride-1 conv after the stem does.
+    That column gradient and its k² slab adds of ``c_in``-channel slabs
+    are the expensive half of a backward.  Every stride-1 conv is tagged
+    ``"kn2row"`` and takes the adjoint of kn2row / shift-and-accumulate
+    (Anderson et al. 2017) instead: ``g`` is scattered into k² shifted,
+    zero-bordered slabs ``G`` and one GEMM ``w_stackᵀ @ G`` per batch
+    chunk gives the padded input gradient, with no column gradient and no
+    col2im.  ``G`` holds ``k²·c_out`` rows against the column gradient's
+    ``k²·c_in``, but chunked it stays in cache: a whole C16→C32 backward
+    at batch 128 ran in 96–104 ms against 132–136 ms on the column
+    branch.  Only on the stem's C3→C16 (36–39 vs 26–36 ms) is it slower,
+    and no model needs that input gradient: the stem's input is data.
+    Strided convs keep the column branch (kn2row needs stride 1), and
+    unpadded 1×1 convs the batched GEMM.
 
     The forward and weight gradient stay the column GEMMs above: they
     reduce every element over the reference's K order, so with the same
-    BLAS they match it bit for bit.  A forward that reorders those sums
-    (kn2row proper) perturbs pre-activations by an ulp, which flips
-    near-zero ReLU masks and moves whole gradient terms: in a batch-16
-    fast-vs-numpy gradient check of the hybrid ResNet-18, 13 of 40 seeds
-    then miss the tolerances.  The weight gradient is computed as
-    ``(colsT @ gTᵀ)ᵀ``, the same reduction as ``gT @ colsTᵀ`` and
-    1.3–2.4× faster on every ResNet-18 conv shape.  The ctx tag
-    (``"1x1"``, ``"kn2row"``, ``"gen"``) names the branch.
+    BLAS they match it bit for bit, chunked or not.  A forward that
+    reorders those sums (kn2row proper) perturbs pre-activations by an
+    ulp, which flips near-zero ReLU masks and moves whole gradient terms:
+    in a batch-16 fast-vs-numpy gradient check of the hybrid ResNet-18,
+    13 of 40 seeds then miss the tolerances.  A weight gradient summed
+    chunk by chunk reorders its long N·oh·ow reduction the same way, so
+    the backward pays for a second gather instead.  ``(cols @ gTᵀ)ᵀ`` is
+    the same reduction as ``gT @ colsᵀ`` and 1.3–2.4× faster on every
+    ResNet-18 conv shape.  The ctx tag (``"1x1"``, ``"kn2row"``,
+    ``"gen"``) names the branch.
 
     Batch norm keeps the same line: its forward output and batch
     statistics are bit-identical to the reference, computed from one
@@ -626,7 +657,7 @@ class FastBackend(Backend):
         lo: int,
         hi: int,
     ) -> None:
-        """Fill ``cols4[:, i, j, lo:hi]`` slabs for samples ``lo:hi``."""
+        """Fill ``cols4[:, i, j, lo:hi]`` slabs from samples ``lo:hi`` of ``xp``."""
         for i in range(kh):
             i_max = i + stride * out_h
             for j in range(kw):
@@ -635,17 +666,19 @@ class FastBackend(Backend):
                     1, 0, 2, 3
                 )
 
-    def _maybe_threaded_gather(
+    def _gather(
         self,
         xp: np.ndarray,
-        cols4: np.ndarray,
+        cols: np.ndarray,
         kh: int,
         kw: int,
         stride: int,
         out_h: int,
         out_w: int,
-        n: int,
     ) -> None:
+        """Gather all of ``xp``'s patches into ``cols`` ``(C·kh·kw, N·oh·ow)``."""
+        n, c_in = xp.shape[:2]
+        cols4 = cols.reshape(c_in, kh, kw, n, out_h, out_w)
         if self.threads > 1 and n >= self.threads:
             # Per-sample partitioning: every worker writes a disjoint
             # batch slice of cols4, so the result is deterministic and
@@ -696,32 +729,31 @@ class FastBackend(Backend):
             return out3.reshape(n, c_out, h, w), ctx
 
         if ph > 0 or pw > 0:
-            xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+            # Zero-filled buffer plus one interior copy: the same array as
+            # np.pad's, in about two thirds of its time.
+            xp = np.zeros((n, c_in, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+            xp[:, :, ph : ph + h, pw : pw + w] = x
         else:
             xp = x
-        cshape = (c_in * kh * kw, n * out_h * out_w)
-        if want_ctx:
-            # The backward closure captures colsT, so it must be freshly
-            # owned — a reused scratch buffer would be clobbered by the
-            # next same-shape conv before backward() runs.
-            colsT = np.empty(cshape, dtype=x.dtype)
-        else:
-            colsT = _scratch("colsT", cshape, x.dtype)
-        cols4 = colsT.reshape(c_in, kh, kw, n, out_h, out_w)
-        self._maybe_threaded_gather(xp, cols4, kh, kw, stride, out_h, out_w, n)
-
-        # One big GEMM into a transient scratch, bias fused in place.
-        oT = _scratch("convT_out", (c_out, n * out_h * out_w), np.result_type(x, weight))
-        np.matmul(w2d, colsT, out=oT)
-        if bias is not None:
-            oT += bias[:, None]
-        out = np.ascontiguousarray(
-            oT.reshape(c_out, n, out_h, out_w).transpose(1, 0, 2, 3)
-        )
-        # The forward is the same column GEMM on both branches; the tag
-        # only picks the backward's input-gradient algorithm.
-        tag = "kn2row" if stride == 1 and c_out <= c_in else "gen"
-        ctx = (tag, colsT, w2d, x.shape, kh, kw, stride, ph, pw) if want_ctx else None
+        # One GEMM per batch chunk whose columns fit the chunk budget: the
+        # chunk stays cache-resident from its gather to the GEMM that
+        # reads it, and no column matrix outlives the call.
+        rows, hw = c_in * kh * kw, out_h * out_w
+        nb = max(1, min(n, _CONV_CHUNK_BYTES // (rows * hw * x.itemsize)))
+        out_dtype = np.result_type(x, weight)
+        out = np.empty((n, c_out, out_h, out_w), dtype=out_dtype)
+        for lo in range(0, n, nb):
+            m = min(nb, n - lo)
+            cols = _flat_scratch("conv_cols", (rows, m * hw), x.dtype)
+            self._gather(xp[lo : lo + m], cols, kh, kw, stride, out_h, out_w)
+            oc = _flat_scratch("conv_out", (c_out, m * hw), out_dtype)
+            np.matmul(w2d, cols, out=oc)
+            if bias is not None:
+                oc += bias[:, None]
+            out[lo : lo + m] = oc.reshape(c_out, m, out_h, out_w).transpose(1, 0, 2, 3)
+        # The tag only picks the backward's input-gradient algorithm.
+        tag = "kn2row" if stride == 1 else "gen"
+        ctx = (tag, xp, w2d, x.shape, kh, kw, stride, ph, pw) if want_ctx else None
         return out, ctx
 
     def _kn2row_input_grad(
@@ -741,7 +773,7 @@ class FastBackend(Backend):
         stacked weight ``(kh·kw·c_out, c_in)`` against ``G`` sums every
         offset's contribution at every padded input pixel.  No
         ``(c_in·kh·kw, N·oh·ow)`` column gradient and no col2im pass.  The
-        batch runs in chunks of at most :data:`_KN2ROW_CHUNK_BYTES` of
+        batch runs in chunks of at most :data:`_CONV_CHUNK_BYTES` of
         slabs, so ``G`` stays cache-resident between its writes and the
         GEMM that reads it, and its pooled buffer does not grow with N.
         """
@@ -750,7 +782,7 @@ class FastBackend(Backend):
         hp, wp = h + 2 * ph, w + 2 * pw
         out_h, out_w = hp - kh + 1, wp - kw + 1
         rows = kh * kw * c_out
-        nb = max(1, min(n, _KN2ROW_CHUNK_BYTES // (rows * hp * wp * gT.itemsize)))
+        nb = max(1, min(n, _CONV_CHUNK_BYTES // (rows * hp * wp * gT.itemsize)))
         # Slab (i, j) is written only inside its (i, j)-shifted window, and
         # the key's shape fixes every window, so the zero border survives
         # reuse of the buffer.
@@ -798,30 +830,36 @@ class FastBackend(Backend):
                 gx = np.matmul(w2d.T, g3).reshape(x_shape)
             return gw, gb, gx
 
-        tag, colsT, w2d, x_shape, kh, kw, stride, ph, pw = ctx
+        tag, xp, w2d, x_shape, kh, kw, stride, ph, pw = ctx
         n, c_in, h, w = x_shape
         c_out = g.shape[1]
         out_h = _out_size(h, kh, stride, ph)
         out_w = _out_size(w, kw, stride, pw)
-        # (N, c_out, oh, ow) -> (c_out, N*oh*ow), matching colsT's columns.
+        # (N, c_out, oh, ow) -> (c_out, N*oh*ow), matching the columns' order.
         gT = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(c_out, -1)
+        col_gx = need_gx and tag == "gen"
+        if need_gw or col_gx:
+            # One pooled buffer holds the regathered columns, then the
+            # column gradient: the weight gradient is done with the
+            # columns before the column gradient overwrites them.
+            cols = _flat_scratch("conv_cols", (c_in * kh * kw, n * out_h * out_w), xp.dtype)
         gw = None
         if need_gw:
-            gw = np.ascontiguousarray((colsT @ gT.T).T).reshape(c_out, c_in, kh, kw)
+            self._gather(xp, cols, kh, kw, stride, out_h, out_w)
+            gw = np.ascontiguousarray((cols @ gT.T).T).reshape(c_out, c_in, kh, kw)
         gb = _conv_bias_grad(g) if need_gb else None
         gx = None
         if need_gx and tag == "kn2row":
             gx = self._kn2row_input_grad(gT, w2d, x_shape, kh, kw, ph, pw)
-        elif need_gx:
-            gcolsT = _scratch("gcolsT", colsT.shape, colsT.dtype)
-            np.matmul(w2d.T, gT, out=gcolsT)
-            gc6 = gcolsT.reshape(c_in, kh, kw, n, out_h, out_w)
+        elif col_gx:
+            np.matmul(w2d.T, gT, out=cols)
+            gc6 = cols.reshape(c_in, kh, kw, n, out_h, out_w)
             if ph > 0 or pw > 0:
                 padded = _zeroed_scratch(
-                    "conv_gx", (n, c_in, h + 2 * ph, w + 2 * pw), gcolsT.dtype
+                    "conv_gx", (n, c_in, h + 2 * ph, w + 2 * pw), cols.dtype
                 )
             else:
-                padded = np.zeros((n, c_in, h, w), dtype=gcolsT.dtype)
+                padded = np.zeros((n, c_in, h, w), dtype=cols.dtype)
             for i in range(kh):
                 i_max = i + stride * out_h
                 for j in range(kw):

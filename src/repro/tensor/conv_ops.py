@@ -69,10 +69,12 @@ def conv2d(
     """2-D convolution (cross-correlation) in NCHW with OIHW weights.
 
     ``weight`` has shape ``(c_out, c_in, kh, kw)``.  The forward pass is a
-    single GEMM over the im2col matrix; the backward pass reuses the cached
-    columns for the weight gradient and col2im for the input gradient.  The
-    backend that runs the forward owns the cached context, so the backward
-    stays consistent even if the active backend changes in between.
+    GEMM over the im2col matrix; the backward pass needs those columns for
+    the weight gradient (the reference caches them, the ``fast`` backend
+    gathers them again from the padded input) and col2im or its own
+    equivalent for the input gradient.  The backend that runs the forward
+    owns the cached context, so the backward stays consistent even if the
+    active backend changes in between.
     """
     n, c_in, h, w = x.data.shape
     c_out, c_in_w, kh, kw = weight.data.shape

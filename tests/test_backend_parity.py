@@ -16,7 +16,7 @@ from repro.core import build_hybrid
 from repro.data.synthetic import make_cifar_like
 from repro.models.resnet import resnet18, resnet18_hybrid_config
 from repro.nn import BatchNorm1d, BatchNorm2d, CrossEntropyLoss
-from repro.tensor import Tensor, backend, bias_relu, col2im, conv2d, im2col
+from repro.tensor import Tensor, backend, bias_relu, col2im, conv2d, im2col, no_grad
 from repro.tensor.backend import (
     PARITY,
     TOLERANCE_ATOL,
@@ -27,8 +27,13 @@ from repro.utils import set_seed
 
 NON_REF = [n for n in backend.available() if n != "numpy"]
 
+# (n, c_in, h, w, c_out, k, stride, padding, bias)
+CHUNKED_CONV_SHAPES = [
+    (16, 16, 32, 32, 32, 3, 1, 1, True),
+    (16, 64, 32, 32, 16, 3, 2, 1, True),
+]
+
 CONV_SHAPES = [
-    # (n, c_in, h, w, c_out, k, stride, padding, bias)
     (2, 3, 8, 8, 4, 3, 1, 1, True),
     (2, 3, 9, 9, 4, 3, 2, 1, True),
     (1, 2, 7, 5, 3, 3, 2, (2, 1), True),
@@ -46,6 +51,10 @@ CONV_SHAPES = [
     # Square layer1 conv: its kn2row slabs exceed one chunk, so the batch
     # runs as a chunk of 6 samples and a 1-sample tail.
     (7, 16, 32, 32, 16, 3, 1, 1, False),
+    # Forward column chunks of 7 samples: two full chunks and a 2-sample
+    # tail, on a stride-1 c_out > c_in conv (kn2row slabs of 3 samples)
+    # and on a strided conv (column-gradient branch).
+    *CHUNKED_CONV_SHAPES,
 ]
 
 # (n, c_in, h, w, c_out, k, stride, padding) -> branch the fast backend's
@@ -56,12 +65,12 @@ CONV_BRANCHES = [
     ((2, 16, 9, 7, 4, 3, 1, (2, 1)), "kn2row"),
     ((3, 16, 8, 8, 2, 3, 1, 0), "kn2row"),
     ((2, 16, 8, 8, 16, 3, 1, 1), "kn2row"),  # square: the vanilla ResNet stride-1 convs
-    ((2, 3, 8, 8, 16, 3, 1, 1), "gen"),  # wider output (the stem)
+    ((2, 3, 8, 8, 16, 3, 1, 1), "kn2row"),  # wider output (the stem)
     ((2, 16, 8, 8, 4, 3, 2, 1), "gen"),  # strided conv_u
     ((2, 16, 8, 8, 4, 1, 1, 0), "1x1"),  # conv_v / projection
     ((2, 16, 6, 6, 4, 1, 1, 1), "kn2row"),  # padded 1×1 with a thin output
     ((2, 16, 8, 8, 8, 1, 2, 0), "gen"),  # strided 1×1 downsample
-    ((2, 16, 8, 8, 32, 3, 1, 1), "gen"),  # stride 1, c_out > c_in
+    ((2, 16, 8, 8, 32, 3, 1, 1), "kn2row"),  # stride 1, c_out > c_in
 ]
 
 
@@ -340,9 +349,9 @@ class TestParityContract:
 class TestFastConvBranch:
     @pytest.mark.parametrize("shape,branch", CONV_BRANCHES)
     def test_branch_selection(self, rng, shape, branch):
-        """Stride-1 convs with ``c_out ≤ c_in`` take the kn2row branch;
-        the stem, wider-output and strided convs keep the column-matrix
-        branch, and unpadded 1×1 convs the batched GEMM."""
+        """Every stride-1 conv takes the kn2row branch, whatever its channel
+        ratio; strided convs keep the column-gradient branch, and unpadded
+        1×1 convs the batched GEMM."""
         n, c_in, h, w, c_out, k, stride, padding = shape
         ph, pw = padding if isinstance(padding, tuple) else (padding, padding)
         x = rng.standard_normal((n, c_in, h, w)).astype(np.float32)
@@ -372,7 +381,65 @@ def assert_forward_is_reference(rng, c_in, c_out):
     assert np.array_equal(got, ref)
 
 
+def conv_case(rng, shape):
+    n, c_in, h, w, c_out, k, stride, padding, has_bias = shape
+    ph, pw = padding if isinstance(padding, tuple) else (padding, padding)
+    x = rng.standard_normal((n, c_in, h, w)).astype(np.float32)
+    wt = (rng.standard_normal((c_out, c_in, k, k)) * 0.1).astype(np.float32)
+    b = rng.standard_normal((c_out,)).astype(np.float32) if has_bias else None
+    return x, wt, b, stride, ph, pw
+
+
+class TestFastConvMemory:
+    @pytest.mark.parametrize("shape", CONV_SHAPES)
+    def test_ctx_holds_nothing_larger_than_the_padded_input(self, rng, shape):
+        """The backward regathers its columns: a training forward keeps
+        only the (padded) input and views of the weight, never a column
+        matrix ``k²`` times the input's size."""
+        x, wt, b, stride, ph, pw = conv_case(rng, shape)
+        n, c_in, h, w = x.shape
+        padded_bytes = n * c_in * (h + 2 * ph) * (w + 2 * pw) * x.itemsize
+        _, ctx = FastBackend().conv2d_forward(x, wt, b, stride, ph, pw, True)
+        arrays = [a for a in ctx if isinstance(a, np.ndarray)]
+        assert arrays
+        for a in arrays:
+            assert np.shares_memory(a, wt) or a.nbytes <= padded_bytes
+
+    def test_output_does_not_alias_the_scratch_pool(self, rng):
+        """A batch-1 forward used to return a view of its pooled GEMM
+        output, which the next conv of the same shape overwrote."""
+        fast = FastBackend()
+        x1, x2 = rng.standard_normal((2, 1, 3, 8, 8)).astype(np.float32)
+        wt = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+        first, _ = fast.conv2d_forward(x1, wt, None, 1, 1, 1, False)
+        kept = first.copy()
+        fast.conv2d_forward(x2, wt, None, 1, 1, 1, False)
+        assert np.array_equal(first, kept)
+
+
 class TestThreadedGather:
+    @pytest.mark.parametrize("shape", CHUNKED_CONV_SHAPES)
+    def test_chunked_threaded_conv_matches_reference_and_serial(self, rng, shape):
+        """Threaded gathering inside each column chunk (and in the
+        backward's regather) is bit-identical to the serial gather, and
+        the forward and weight gradient to the reference's column GEMM."""
+        x, wt, b, stride, ph, pw = conv_case(rng, shape)
+        results = {}
+        for key, be in [
+            ("numpy", backend.get("numpy")),
+            ("serial", FastBackend(threads=0)),
+            ("threaded", FastBackend(threads=4)),
+        ]:
+            out, ctx = be.conv2d_forward(x, wt, b, stride, ph, pw, True)
+            g = np.random.default_rng(1).standard_normal(out.shape).astype(np.float32)
+            results[key] = (out, *be.conv2d_backward(g, ctx, True, True, True))
+        ref, serial, threaded = results["numpy"], results["serial"], results["threaded"]
+        for s_, t_ in zip(serial, threaded):
+            assert np.array_equal(s_, t_)
+        for r_, s_ in zip(ref[:3], serial[:3]):  # out, gw, gb
+            assert np.array_equal(r_, s_)
+        assert_parity("conv2d_backward", ref[3], serial[3])
+
     def test_threaded_conv_matches_serial(self, rng):
         """REPRO_BACKEND_THREADS gathering is per-sample-partitioned and
         must be bit-identical to the serial fast path."""
@@ -395,13 +462,11 @@ class TestThreadedGather:
 class TestScratchPool:
     def test_steady_state_training_step_evicts_nothing(self):
         """A hybrid ResNet-18 step touches fewer pooled scratch keys than
-        the pool holds.  After a step at another batch size has filled the
-        pool with stale keys, a warmed-up step must find every buffer it
+        the pool holds.  After stale keys and a step at another batch size
+        have filled the pool, a warmed-up step must find every buffer it
         needs: the pool holds the same buffers before and after it (no
         eviction, no allocation)."""
-        set_seed(0)
-        vanilla = resnet18(num_classes=10, width_mult=0.25)
-        model, _ = build_hybrid(vanilla, resnet18_hybrid_config(vanilla, 0.25))
+        model = hybrid_resnet18()
         rng = np.random.default_rng(0)
 
         def step(n):
@@ -412,6 +477,8 @@ class TestScratchPool:
             return {key: id(buf) for key, buf in backend._SCRATCH.items()}
 
         backend._SCRATCH.clear()
+        for i in range(backend._SCRATCH_MAX):  # a full pool of keys no step uses
+            backend._scratch("stale", (i + 1,), np.float32)
         with backend.use("fast"):
             step(4)  # leaves keys a batch-8 step never touches
             step(8)
@@ -419,6 +486,32 @@ class TestScratchPool:
             step(8)
         assert len(warm) == backend._SCRATCH_MAX
         assert pool() == warm
+
+    def test_serving_batch_sizes_keep_the_pool_small(self):
+        """A server profiles every batch size, then alternates small
+        batches.  Inference convs pool only their chunk-sized column and
+        output buffers, so the pool holds two chunk budgets however many
+        batch sizes it has seen."""
+        model = hybrid_resnet18()
+        model.eval()
+        rng = np.random.default_rng(0)
+        bound = 2 * backend._CONV_CHUNK_BYTES
+
+        def pooled_bytes():
+            return sum(buf.nbytes for buf in backend._SCRATCH.values())
+
+        backend._SCRATCH.clear()
+        with backend.use("fast"), no_grad():
+            for n in [*range(1, 33), *[1, 2] * 8]:
+                model(Tensor(rng.standard_normal((n, 3, 32, 32)).astype(np.float32)))
+                assert pooled_bytes() <= bound, n
+
+
+def hybrid_resnet18():
+    set_seed(0)
+    vanilla = resnet18(num_classes=10, width_mult=0.25)
+    model, _ = build_hybrid(vanilla, resnet18_hybrid_config(vanilla, 0.25))
+    return model
 
 
 class TestModelParity:
